@@ -174,6 +174,66 @@ func (c *Calibration) estBest(tall bool, k int) (Scheme, sim.Duration, bool) {
 	return best, min, true
 }
 
+// flatCal is one run's map-free view of its Calibration: every value the
+// admission and dispatch hot paths read, indexed by geometry (geomIdx)
+// and batch size instead of hashed. A Calibration is immutable during a
+// run, so newPool computes the view once; it stays per-pool rather than
+// cached on the Calibration, which callers may share or rebuild.
+type flatCal struct {
+	conclusive bool
+	// est1 is the per-request service estimate by geometry (estOne).
+	est1 [2]sim.Duration
+	// coldWarmup is the warmup a cold blade's placement score pays.
+	coldWarmup sim.Duration
+	// svcs is the measured dispatch table by scheme, geometry and batch
+	// size k (index k; index 0 unused).
+	svcs [numSchemes][2][]svc
+	// pick is the estimator's scheme choice by geometry and batch size
+	// (estBest); ok false means the estimate could not separate them.
+	pick [2][]schemePick
+}
+
+type schemePick struct {
+	scheme Scheme
+	ok     bool
+}
+
+// geomIdx maps a frame geometry onto the flat tables' index.
+func geomIdx(tall bool) int {
+	if tall {
+		return 1
+	}
+	return 0
+}
+
+// flatten builds the run's flat view for batches of up to maxBatch.
+// Points the table lacks read as the zero svc, exactly as the map does.
+func (c *Calibration) flatten(maxBatch int) flatCal {
+	f := flatCal{
+		conclusive: c.Conclusive(),
+		coldWarmup: c.service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup,
+	}
+	for _, tall := range []bool{false, true} {
+		g := geomIdx(tall)
+		f.est1[g] = c.estService(SchemeJob, tall, 1)
+		if f.est1[g] <= 0 {
+			f.est1[g] = c.service(svcKey{Scheme: SchemeJob, Tall: tall, K: 1}).Service
+		}
+		for s := Scheme(0); s < numSchemes; s++ {
+			f.svcs[s][g] = make([]svc, maxBatch+1)
+			for k := 1; k <= maxBatch; k++ {
+				f.svcs[s][g][k] = c.service(svcKey{Scheme: s, Tall: tall, K: k})
+			}
+		}
+		f.pick[g] = make([]schemePick, maxBatch+1)
+		for k := 1; k <= maxBatch; k++ {
+			s, _, ok := c.estBest(tall, k)
+			f.pick[g][k] = schemePick{scheme: s, ok: ok}
+		}
+	}
+	return f
+}
+
 // detOpsShare apportions the detection kernel's time across the four
 // feature lanes by nominal operation count (the Eq. 3 lane construction
 // of §4.2).

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-
-	"cellport/internal/trace"
 )
 
 // Fleet mode (DESIGN.md §13): the run's blades are partitioned into
@@ -112,7 +110,6 @@ func (p *pool) admitFleet(r Request) {
 	}
 	p.shedRejected++
 	if len(order) > 0 {
-		first := order[0]
-		trace.RecordInstant(first.tr, first.lane, p.now, fmt.Sprintf("shed-rejected req %d", r.ID))
+		p.recordShedRejected(order[0], r)
 	}
 }

@@ -29,6 +29,7 @@ func fleetConfig(t *testing.T) Config {
 // byte-identical across the sequential reference loop, every sharded
 // worker count, lookahead on/off, and calibration parallelism.
 func TestFleetDeterminismMatrix(t *testing.T) {
+	checkBacklogs(t)
 	base := fleetConfig(t)
 	seq := base
 	seq.SeqSim = true
@@ -56,6 +57,7 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 // under routing + autoscaling, the per-pool served counts re-sum to the
 // fleet total, and every request the router placed is accounted.
 func TestFleetLedgerConservation(t *testing.T) {
+	checkBacklogs(t)
 	for _, seed := range []uint64{1, 7, 42} {
 		cfg := fleetConfig(t)
 		cfg.Seed = seed
@@ -183,6 +185,7 @@ func TestFleetArmedUnfiredPlan(t *testing.T) {
 // the ledger still conserves, and the run stays byte-identical between
 // the sequential loop and the sharded engine.
 func TestFleetChaos(t *testing.T) {
+	checkBacklogs(t)
 	cfg := fleetConfig(t)
 	total := cfg.Pools * cfg.Blades
 	offered := cfg.Rate * cfg.Cal.perBlade * float64(total)
@@ -235,6 +238,7 @@ func FuzzFleetLedger(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, seed, faultSeed uint64, pools uint8, autoscale bool) {
+		checkBacklogs(t)
 		cfg := quickConfig()
 		cfg.Blades = 2
 		cfg.Pools = 1 + int(pools%6)

@@ -7,7 +7,6 @@ import (
 
 	"cellport/internal/fault"
 	"cellport/internal/sim"
-	"cellport/internal/trace"
 )
 
 // The blade lifecycle layer (DESIGN.md §12): fleet-level fault plans
@@ -128,7 +127,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 		// has nothing left to park.
 		b.restartPending = false
 		b.parkPending = false
-		trace.RecordInstant(b.tr, b.lane, p.now, "blade-crash")
+		b.instant(p.now, "blade-crash")
 		p.killBlade(b)
 	case evDrainStart:
 		if !b.health.admittable() {
@@ -141,7 +140,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 		// an autoscale drain, where firing would re-charge warmup on a
 		// blade that never restarted.
 		b.restartPending = true
-		trace.RecordInstant(b.tr, b.lane, p.now, "restart: draining")
+		b.instant(p.now, "restart: draining")
 	case evRestartFire:
 		if b.health != healthDraining || !b.restartPending {
 			return
@@ -151,7 +150,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 		b.restarts++
 		b.health = healthWarming
 		b.warm = false // warmup re-charged on the next dispatch
-		trace.RecordInstant(b.tr, b.lane, p.now, "restart: warming")
+		b.instant(p.now, "restart: warming")
 		p.killBlade(b)
 	case evStallStart:
 		if !b.health.admittable() {
@@ -160,7 +159,9 @@ func (p *pool) applyFault(ev bladeEvent) {
 		b.stalls++
 		b.stallRestore = b.health
 		b.health = healthStalled
-		trace.RecordInstant(b.tr, b.lane, p.now, fmt.Sprintf("blade-stall %s", ev.delay))
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, fmt.Sprintf("blade-stall %s", ev.delay))
+		}
 		if b.busy {
 			// The in-flight dispatch finishes late by the stall length.
 			// Invalidate the already-scheduled completion (generation
@@ -183,7 +184,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 			// parks) instead of its pre-stall admittable state.
 			b.health = healthDraining
 		}
-		trace.RecordInstant(b.tr, b.lane, p.now, "stall-end")
+		b.instant(p.now, "stall-end")
 		if !b.busy && len(b.queue) > 0 {
 			p.dispatch(b, p.now)
 		}
@@ -204,7 +205,7 @@ func (p *pool) maybePark(b *blade, now sim.Time) {
 	b.parkPending = false
 	b.health = healthParked
 	b.warm = false
-	trace.RecordInstant(b.tr, b.lane, now, "autoscale: parked")
+	b.instant(now, "autoscale: parked")
 }
 
 // killBlade evicts b's work at p.now: the in-flight batch first (in
@@ -230,6 +231,7 @@ func (p *pool) killBlade(b *blade) {
 		p.reroute(b, r)
 	}
 	b.queue = b.queue[:0]
+	b.backlog = 0
 }
 
 // reroute sends one evicted request back through admission after an
@@ -242,13 +244,17 @@ func (p *pool) reroute(b *blade, r Request) {
 	r.Attempts++
 	if r.Attempts > p.cfg.RetryBudget {
 		b.shedExhausted++
-		trace.RecordInstant(b.tr, b.lane, p.now, fmt.Sprintf("shed-exhausted req %d", r.ID))
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, fmt.Sprintf("shed-exhausted req %d", r.ID))
+		}
 		return
 	}
 	at := p.now.Add(rerouteBackoff(p.cfg.RetryBackoff, r.Attempts))
 	if r.Deadline != sim.Never && at > r.Deadline {
 		b.shedRerouted++
-		trace.RecordInstant(b.tr, b.lane, p.now, fmt.Sprintf("shed-rerouted req %d", r.ID))
+		if b.rec != nil {
+			b.rec.Instant(b.lane, p.now, fmt.Sprintf("shed-rerouted req %d", r.ID))
+		}
 		return
 	}
 	b.rerouted++

@@ -44,6 +44,7 @@ func chaosConfig(t *testing.T) Config {
 // ledger still conserves exactly — every request is served or shed with
 // an attributed reason — and the lifecycle counters record what fired.
 func TestChaosConservation(t *testing.T) {
+	checkBacklogs(t)
 	cfg := chaosConfig(t)
 	span := runSpan(t, cfg)
 	for _, seed := range []uint64{1, 7, 42} {
@@ -75,6 +76,7 @@ func TestChaosConservation(t *testing.T) {
 // blade-fault schedule must serialize byte-identically across
 // -shards {0,1,2,8} × -lookahead {on,off} vs the -seqsim reference.
 func TestChaosDeterminismMatrix(t *testing.T) {
+	checkBacklogs(t)
 	cfg := chaosConfig(t)
 	cfg.Faults = fault.SeededFleet(7, cfg.Blades, runSpan(t, cfg))
 
@@ -130,6 +132,7 @@ func TestArmedButUnfiredFleetPlan(t *testing.T) {
 // degrades goodput (on-time served) by no more than the lost capacity
 // fraction plus a bounded reroute overhead.
 func TestBladeCrashGoodputBound(t *testing.T) {
+	checkBacklogs(t)
 	cfg := chaosConfig(t)
 	base := mustRun(t, cfg)
 	checkLedger(t, base)
@@ -171,6 +174,7 @@ func TestBladeCrashGoodputBound(t *testing.T) {
 // what remains, and re-charges warmup — the blade pays the model-library
 // load twice and ends the run healthy.
 func TestBladeRestartRecharge(t *testing.T) {
+	checkBacklogs(t)
 	cfg := quickConfig()
 	cfg.Cal = mustCal(t)
 	span := runSpan(t, cfg)
@@ -198,6 +202,7 @@ func TestBladeRestartRecharge(t *testing.T) {
 // the in-flight completion by the stall length; the blade recovers to
 // its pre-stall state.
 func TestBladeStallDelaysInFlight(t *testing.T) {
+	checkBacklogs(t)
 	cfg := quickConfig()
 	cfg.Cal = mustCal(t)
 	span := runSpan(t, cfg)
@@ -246,6 +251,7 @@ func TestRerouteBackoffMirrorsSupervision(t *testing.T) {
 // left to run; every outstanding request must drain through the re-route
 // machinery into an attributed shed, and the run must terminate.
 func TestRetryBudgetExhaustion(t *testing.T) {
+	checkBacklogs(t)
 	cfg := quickConfig()
 	cfg.Cal = mustCal(t)
 	span := runSpan(t, cfg)

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cellport/internal/marvel"
 	"cellport/internal/sim"
@@ -35,6 +36,11 @@ type blade struct {
 	done  sim.Time // current dispatch completion
 	cur   []Request
 	deg   bool // current dispatch runs degraded (supervised recovery)
+
+	// backlog is the exact sum of estOne over queue, kept at every queue
+	// mutation (admitInto, dispatch's shed and coalesce, killBlade) so
+	// bladeScore is O(1) instead of a walk over the queue.
+	backlog sim.Duration
 
 	// Lifecycle state (DESIGN.md §12). health gates admission; gen
 	// invalidates completion events scheduled for dispatches that a kill
@@ -76,8 +82,17 @@ type blade struct {
 
 	verifyErr error // first FullFidelity divergence on this blade
 
-	tr  trace.Tracer
+	// rec records the blade's spans and instants when Config.Instrument
+	// is set; nil otherwise, and every label is built only behind a
+	// rec != nil check so bare runs format nothing.
 	rec *trace.Recorder
+}
+
+// instant records a constant-label point event on an instrumented blade.
+func (b *blade) instant(at sim.Time, label string) {
+	if b.rec != nil {
+		b.rec.Instant(b.lane, at, label)
+	}
 }
 
 // pool is the deterministic serving event loop: a virtual clock advanced
@@ -93,6 +108,7 @@ type blade struct {
 type pool struct {
 	cfg      Config
 	cal      *Calibration
+	fc       flatCal // cal flattened for the hot paths (no map access)
 	deadline sim.Duration
 	blades   []*blade
 	rr       int
@@ -141,6 +157,13 @@ type pool struct {
 	idxBuf   []int
 }
 
+// barrierHook, when set, runs at every step of the sequential loop and
+// at both ends of every sharded barrier (and once after the final
+// drain): coordinator points where every wheel is quiescent. Tests set
+// it to check incrementally kept state, such as blade backlogs, against
+// a from-scratch recompute; it is nil otherwise.
+var barrierHook func(*pool)
+
 // coordLane is the trace lane carrying coordinator events (epoch
 // barriers), distinct from the per-blade lanes.
 const coordLane = "coordinator"
@@ -155,6 +178,7 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 	p := &pool{
 		cfg:         cfg,
 		cal:         cal,
+		fc:          cal.flatten(cfg.MaxBatch),
 		deadline:    deadline,
 		lastTouched: -1,
 		ordBuf:      make([]*blade, total),
@@ -169,11 +193,9 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 			id:    i,
 			lane:  fmt.Sprintf("blade%d", i),
 			spare: make([]Request, 0, cfg.MaxBatch),
-			tr:    trace.Nop{},
 		}
 		if cfg.Instrument {
 			b.rec = trace.NewRecorder()
-			b.tr = b.rec
 		}
 		p.blades = append(p.blades, b)
 	}
@@ -196,6 +218,9 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 func (p *pool) run(reqs []Request) {
 	ai := 0
 	for {
+		if barrierHook != nil {
+			barrierHook(p)
+		}
 		nextArr := sim.Never
 		if ai < len(reqs) {
 			nextArr = reqs[ai].Arrival
@@ -314,6 +339,9 @@ func (p *pool) runSharded(reqs []Request, workers int, lookahead bool) error {
 			}
 		},
 		func(t sim.Time) {
+			if barrierHook != nil {
+				barrierHook(p)
+			}
 			p.barriers++
 			if p.ctr != nil {
 				p.ctr.Instant(coordLane, t, "epoch barrier")
@@ -347,8 +375,14 @@ func (p *pool) runSharded(reqs []Request, workers int, lookahead bool) error {
 				p.admit(reqs[ai])
 				ai++
 			}
+			if barrierHook != nil {
+				barrierHook(p)
+			}
 		},
 	)
+	if barrierHook != nil {
+		barrierHook(p)
+	}
 	p.epochs = sh.Epochs()
 	p.barrierWait = sh.BarrierWait()
 	return err
@@ -384,29 +418,23 @@ func (p *pool) earliestBusy() *blade {
 // estOne is the estimator's per-request service estimate (a lone
 // dispatch), used to score queue backlogs and deadline feasibility. When
 // the Eq. 3 estimate is inconclusive it falls back to the measured
-// single-request service, which the calibration table always has.
-func (p *pool) estOne(r Request) sim.Duration {
-	if est := p.cal.estService(SchemeJob, r.Tall, 1); est > 0 {
-		return est
-	}
-	return p.cal.service(svcKey{Scheme: SchemeJob, Tall: r.Tall, K: 1}).Service
-}
+// single-request service, which the calibration table always has. It
+// depends only on the geometry, so it is a flat-table read (flatten).
+func (p *pool) estOne(r Request) sim.Duration { return p.fc.est1[geomIdx(r.Tall)] }
 
 // bladeScore is the estimator's finish frontier for one blade: the
 // remaining in-flight work, plus warmup for a cold or restarted blade,
-// plus the estimated backlog of its queue. Both the per-pool placement
-// order and the fleet router's frontier comparison rank by it.
-// Coordinator-only (reads cross-blade state through p.now).
+// plus the estimated backlog of its queue (the incrementally kept
+// b.backlog). Both the per-pool placement order and the fleet router's
+// frontier comparison rank by it. Coordinator-only (reads cross-blade
+// state through p.now).
 func (p *pool) bladeScore(b *blade) sim.Duration {
-	var s sim.Duration
+	s := b.backlog
 	if b.busy {
 		s += b.done.Sub(p.now)
 	}
 	if !b.warm {
-		s += p.cal.service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup
-	}
-	for _, q := range b.queue {
-		s += p.estOne(q)
+		s += p.fc.coldWarmup
 	}
 	return s
 }
@@ -440,7 +468,7 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 		*rr = (*rr + 1) % n
 		return out
 	}
-	if p.cfg.Policy == PolicyRoundRobin || !p.cal.Conclusive() {
+	if p.cfg.Policy == PolicyRoundRobin || !p.fc.conclusive {
 		return rot()
 	}
 	scores := p.scoreBuf[:n]
@@ -470,7 +498,7 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 		p.placeFallbacks++
 		return rot()
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(scores[a], scores[b]) })
 	out := p.ordBuf[:len(idx)]
 	for i, j := range idx {
 		out[i] = blades[j]
@@ -486,6 +514,7 @@ func (p *pool) admitInto(r Request, order []*blade) bool {
 	for _, b := range order {
 		if len(b.queue) < p.cfg.MaxQueue {
 			b.queue = append(b.queue, r)
+			b.backlog += p.estOne(r)
 			p.lastTouched = b.id
 			if !b.busy {
 				p.dispatch(b, p.now)
@@ -518,10 +547,17 @@ func (p *pool) admit(r Request) {
 	}
 	p.shedRejected++
 	if len(order) > 0 {
-		first := order[0]
-		trace.RecordInstant(first.tr, first.lane, p.now, fmt.Sprintf("shed-rejected req %d", r.ID))
+		p.recordShedRejected(order[0], r)
 	} else if p.ctr != nil {
 		p.ctr.Instant(coordLane, p.now, fmt.Sprintf("shed-rejected req %d (no admittable blade)", r.ID))
+	}
+}
+
+// recordShedRejected marks a backpressure shed on the first-choice
+// blade's trace lane.
+func (p *pool) recordShedRejected(first *blade, r Request) {
+	if first.rec != nil {
+		first.rec.Instant(first.lane, p.now, fmt.Sprintf("shed-rejected req %d", r.ID))
 	}
 }
 
@@ -536,9 +572,12 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	// alone right now is hopeless: shed it instead of wasting a blade.
 	keep := b.queue[:0]
 	for _, r := range b.queue {
-		if r.Deadline != sim.Never && now.Add(p.estOne(r)) > r.Deadline {
+		if est := p.estOne(r); r.Deadline != sim.Never && now.Add(est) > r.Deadline {
 			b.shedExpired++
-			trace.RecordInstant(b.tr, b.lane, now, fmt.Sprintf("shed-expired req %d", r.ID))
+			b.backlog -= est
+			if b.rec != nil {
+				b.rec.Instant(b.lane, now, fmt.Sprintf("shed-expired req %d", r.ID))
+			}
 			continue
 		}
 		keep = append(keep, r)
@@ -563,24 +602,29 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 		}
 	}
 	b.queue = rest
+	g := geomIdx(tall)
+	// Every batch member shares the head's geometry, hence its estimate.
+	b.backlog -= sim.Duration(len(batch)) * p.fc.est1[g]
 
 	scheme := SchemeJob
-	if p.cfg.Policy == PolicyEstimator && p.cal.Conclusive() {
-		if s, _, ok := p.cal.estBest(tall, len(batch)); ok {
-			scheme = s
+	if p.cfg.Policy == PolicyEstimator && p.fc.conclusive {
+		if pick := p.fc.pick[g][len(batch)]; pick.ok {
+			scheme = pick.scheme
 		} else {
 			b.schemeFallbacks++ // estimate can't separate the schemes: job-distribution default
 		}
 	}
 
-	s := p.cal.service(svcKey{Scheme: scheme, Tall: tall, K: len(batch)})
+	s := p.fc.svcs[scheme][g][len(batch)]
 	start := now
 	if !b.warm {
 		// A restarted blade comes back cold, so warmup can recur;
 		// warmupTime accumulates every charge.
 		b.warm = true
 		b.warmupTime += s.Warmup
-		b.tr.Span(b.lane, start, start.Add(s.Warmup), trace.KindIO, "warmup: model library load")
+		if b.rec != nil {
+			b.rec.Span(b.lane, start, start.Add(s.Warmup), trace.KindIO, "warmup: model library load")
+		}
 		start = start.Add(s.Warmup)
 	}
 	b.busy = true
@@ -592,12 +636,14 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	b.batches++
 	b.batchRequests += len(batch)
 	b.schemeBatches[scheme]++
-	geom := ""
-	if tall {
-		geom = " tall"
+	if b.rec != nil {
+		geom := ""
+		if tall {
+			geom = " tall"
+		}
+		b.rec.Span(b.lane, start, b.done, trace.KindCompute,
+			fmt.Sprintf("batch#%d ×%d %s%s", b.dispatches, len(batch), scheme, geom))
 	}
-	b.tr.Span(b.lane, start, b.done, trace.KindCompute,
-		fmt.Sprintf("batch#%d ×%d %s%s", b.dispatches, len(batch), scheme, geom))
 
 	if p.cfg.FullFidelity {
 		k := len(batch)

@@ -119,30 +119,37 @@ func (p *pool) poolFrontier(pl *poolShard) (sim.Duration, bool) {
 // service estimate (hysteresis — ties and small imbalances stay on the
 // hash placement, keeping routing stable). Returns nil under global
 // backpressure: no active pool has any admittable blade with queue room.
+//
+// The estimator sweep is one pass over the active pools: poolFrontier
+// finds a frontier exactly when poolHasRoom holds, so it doubles as the
+// candidacy check, and the hashed pool's frontier is read on the way.
 func (p *pool) routePool(r Request) *poolShard {
 	f := p.fleet
-	hashed := f.lookup(requestKey(r), p.hasRoomFn())
+	hashed := f.lookup(requestKey(r), p.poolHasRoom)
 	if hashed == nil {
 		return nil
 	}
-	if p.cfg.Policy != PolicyEstimator || !p.cal.Conclusive() {
+	if p.cfg.Policy != PolicyEstimator || !p.fc.conclusive {
 		return hashed
 	}
 	var best *poolShard
-	var bestFrontier sim.Duration
+	var bestFrontier, hashedFrontier sim.Duration
 	for _, pl := range f.pools {
-		if !p.poolHasRoom(pl) {
+		if !pl.active {
 			continue
 		}
-		if s, ok := p.poolFrontier(pl); ok && (best == nil || s < bestFrontier) {
+		s, ok := p.poolFrontier(pl)
+		if !ok {
+			continue
+		}
+		if pl == hashed {
+			hashedFrontier = s
+		}
+		if best == nil || s < bestFrontier {
 			best, bestFrontier = pl, s
 		}
 	}
-	if best == nil || best == hashed {
-		return hashed
-	}
-	hashedFrontier, ok := p.poolFrontier(hashed)
-	if !ok {
+	if best == hashed {
 		return hashed
 	}
 	if hashedFrontier-bestFrontier > p.estOne(r)/2 {
@@ -150,9 +157,4 @@ func (p *pool) routePool(r Request) *poolShard {
 		return best
 	}
 	return hashed
-}
-
-// hasRoomFn adapts poolHasRoom to the ring-walk predicate.
-func (p *pool) hasRoomFn() func(*poolShard) bool {
-	return func(pl *poolShard) bool { return p.poolHasRoom(pl) }
 }

@@ -156,6 +156,7 @@ func TestServeConservation(t *testing.T) {
 // compatible requests: mean batch size above one, and strictly fewer
 // dispatches than served requests.
 func TestServeBatchCoalescing(t *testing.T) {
+	checkBacklogs(t)
 	cfg := quickConfig()
 	cfg.Rate = 2
 	cfg.Cal = mustCal(t)
@@ -173,6 +174,7 @@ func TestServeBatchCoalescing(t *testing.T) {
 // requests before dispatch, and no served request may be reported both
 // on time and past its deadline inconsistently.
 func TestServeDeadlineShedding(t *testing.T) {
+	checkBacklogs(t)
 	cfg := quickConfig()
 	cfg.Rate = 2
 	cfg.Deadline = 150 * sim.Millisecond

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -158,5 +160,64 @@ func TestFullFidelityCatchesStaleCalibration(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "full-fidelity") || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// BenchmarkFleetAdmit times the admission loop at fleet scale with the
+// calibration preset, so only routing, placement, batching and the
+// epochs are measured: the estimator policy, a diurnal stream at 0.6×
+// the estimated capacity, and a seeded rolling-restart plan. 256 blades
+// (64 pools of 4, autoscaler armed) is the fleet benchmark workload's
+// shape; 3 blades is the classic single pool and 1000 blades is 250
+// pools of 4. Each size runs the sequential loop and the default sharded
+// loop on 2 workers. us/req and allocs/req divide by the request count.
+func BenchmarkFleetAdmit(b *testing.B) {
+	cal, err := sharedCal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []struct{ pools, blades int }{{0, 3}, {64, 4}, {250, 4}} {
+		total := size.blades
+		if size.pools > 0 {
+			total *= size.pools
+		}
+		cfg := quickConfig()
+		cfg.Pools = size.pools
+		cfg.Blades = size.blades
+		cfg.MaxQueue = 8
+		cfg.Requests = 20000
+		cfg.Policy = PolicyEstimator
+		cfg.Cal = cal
+		cfg.Load = &RateModel{DiurnalAmp: 0.6}
+		cfg.OfferedRPS = 0.6 * cal.PerBladeCapacity() * float64(total)
+		cfg.Faults = fault.SeededFleet(1, total, sim.FromSeconds(float64(cfg.Requests)/cfg.OfferedRPS))
+		if size.pools > 0 {
+			cfg.Autoscale = &Autoscale{}
+		}
+		for _, seq := range []bool{true, false} {
+			cfg := cfg
+			cfg.SeqSim = seq
+			cfg.Shards = 2
+			name := fmt.Sprintf("blades=%d/sharded", total)
+			if seq {
+				name = fmt.Sprintf("blades=%d/sequential", total)
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&m1)
+				reqs := float64(b.N * cfg.Requests)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/reqs, "us/req")
+				b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/reqs, "allocs/req")
+			})
+		}
 	}
 }

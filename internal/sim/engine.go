@@ -240,6 +240,22 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return best, ok
 }
 
+// idle reports whether RunUntil(deadline) would dispatch no event and,
+// if so, the result it would return: nil when the engine is halted or
+// its earliest live event lies past the deadline, the quiescence check
+// when nothing live is pending. The sharded epoch uses it to skip
+// RunUntil on wheels with nothing due.
+func (e *Engine) idle(deadline Time) (bool, error) {
+	if e.halted {
+		return true, nil
+	}
+	t, ok := e.NextEventTime()
+	if !ok {
+		return true, e.checkQuiescent()
+	}
+	return t > deadline, nil
+}
+
 // addProc registers a live process (O(1) slice append).
 func (e *Engine) addProc(p *Proc) {
 	p.procIdx = len(e.procs)
@@ -319,11 +335,12 @@ func (e *Engine) Blocked() []BlockedProc {
 // checkQuiescent reports a DeadlockError when blocked processes can never
 // resume.
 func (e *Engine) checkQuiescent() error {
-	stuck := e.Blocked()
-	if len(stuck) == 0 {
-		return nil
+	for _, p := range e.procs {
+		if p.state == procBlocked {
+			return &DeadlockError{At: e.now, Blocked: e.Blocked()}
+		}
 	}
-	return &DeadlockError{At: e.now, Blocked: stuck}
+	return nil
 }
 
 // resume hands control to p until it yields back.

@@ -124,14 +124,16 @@ func TestHorizonAfter(t *testing.T) {
 func TestHorizonScheduleNoDoubleRun(t *testing.T) {
 	s := NewSharded(2, 2)
 	at := Time(Millisecond)
-	counts := map[string]int{}
+	// One counter per wheel: the two wheels run concurrently, so they
+	// must not share a map.
+	counts := []map[string]int{{}, {}}
 	s.Wheel(0).At(at, func() {
-		counts["w0"]++
+		counts[0]["w0"]++
 		// Same-instant chained successor: lands on the already-passed
 		// horizon, must run in a later epoch without re-running w0.
-		s.Wheel(0).At(at, func() { counts["w0chain"]++ })
+		s.Wheel(0).At(at, func() { counts[0]["w0chain"]++ })
 	})
-	s.Wheel(1).At(at, func() { counts["w1"]++ })
+	s.Wheel(1).At(at, func() { counts[1]["w1"]++ })
 	err := s.Run(func() (Time, bool) {
 		h := s.Horizon()
 		if h == Never {
@@ -142,9 +144,9 @@ func TestHorizonScheduleNoDoubleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"w0", "w0chain", "w1"} {
-		if counts[k] != 1 {
-			t.Fatalf("event %s ran %d times, want exactly once (counts %v)", k, counts[k], counts)
+	for k, w := range map[string]int{"w0": 0, "w0chain": 0, "w1": 1} {
+		if counts[w][k] != 1 {
+			t.Fatalf("event %s ran %d times, want exactly once (counts %v)", k, counts[w][k], counts)
 		}
 	}
 }

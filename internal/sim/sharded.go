@@ -51,6 +51,11 @@ type ShardedEngine struct {
 	// past it, so lookahead windows cannot admit across such an instant
 	// even though no wheel knows about it yet.
 	fence Time
+
+	// Epoch scratch, reused so an epoch over idle wheels allocates
+	// nothing: the per-wheel RunUntil results, and the wheels due to run.
+	errs []error
+	due  []int
 }
 
 // wheelStall is one wheel's recorded mid-epoch stall: the epoch and
@@ -79,6 +84,8 @@ func NewSharded(wheels, workers int) *ShardedEngine {
 		s.wheels[i] = NewEngine()
 	}
 	s.stalled = make([]wheelStall, wheels)
+	s.errs = make([]error, wheels)
+	s.due = make([]int, 0, wheels)
 	s.fence = Never
 	return s
 }
@@ -206,45 +213,69 @@ func (s *ShardedEngine) Drain() error {
 }
 
 // runEpoch advances every wheel to the deadline and returns the per-wheel
-// RunUntil results. Wheels are distributed over the worker pool by an
-// atomic work-stealing counter; with workers <= 1 they run in index order
-// on the calling goroutine through the same code. The WaitGroup gives the
-// coordinator a happens-before edge over every wheel's writes.
+// RunUntil results (engine scratch, valid until the next epoch). Only
+// due wheels — a live event at or before the deadline — run; every other
+// wheel gets the result RunUntil would have returned without dispatching
+// anything (Engine.idle), so clocks, EventCount and stall notes are as
+// if it had run. Due wheels are shared out by an atomic work-stealing
+// counter among up to `workers` goroutines, the caller included; with
+// one worker or one due wheel they run in index order on the caller. The
+// WaitGroup gives the coordinator a happens-before edge over every
+// wheel's writes.
 func (s *ShardedEngine) runEpoch(deadline Time) []error {
-	errs := make([]error, len(s.wheels))
+	errs, due := s.errs, s.due[:0]
+	for i, w := range s.wheels {
+		idle, err := w.idle(deadline)
+		errs[i] = err
+		if !idle {
+			due = append(due, i)
+		}
+	}
+	s.due = due
 	workers := s.workers
-	if workers > len(s.wheels) {
-		workers = len(s.wheels)
+	if workers > len(due) {
+		workers = len(due)
 	}
 	if workers <= 1 {
-		for i, w := range s.wheels {
-			errs[i] = w.RunUntil(deadline)
+		for _, i := range due {
+			errs[i] = s.wheels[i].RunUntil(deadline)
 		}
 		return errs
 	}
 	var idx atomic.Int64
+	run := func() {
+		for {
+			k := int(idx.Add(1)) - 1
+			if k >= len(due) {
+				return
+			}
+			i := due[k]
+			errs[i] = s.wheels[i].RunUntil(deadline)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	wg.Add(workers - 1)
+	for k := 1; k < workers; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(idx.Add(1)) - 1
-				if i >= len(s.wheels) {
-					return
-				}
-				errs[i] = s.wheels[i].RunUntil(deadline)
-			}
+			run()
 		}()
 	}
+	run()
 	wg.Wait()
 	return errs
 }
 
 // note records mid-epoch stalls (keeping the first stall epoch) and
-// clears stalls that resolved.
+// clears stalls that resolved. A nil result — by far the common case —
+// takes the fast path before errors.As, which would heap-allocate its
+// target.
 func (s *ShardedEngine) note(errs []error) {
 	for i, err := range errs {
+		if err == nil {
+			s.stalled[i].epoch = 0
+			continue
+		}
 		var de *DeadlockError
 		if errors.As(err, &de) {
 			if s.stalled[i].epoch == 0 {
