@@ -9,6 +9,8 @@ package cellport_test
 //	go test -bench=BenchmarkTable1 -benchtime=1x
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -353,15 +355,12 @@ func BenchmarkScalingCC4(b *testing.B) { benchDataParallel(b, marvel.KCC, 4) }
 func BenchmarkScalingCC8(b *testing.B) { benchDataParallel(b, marvel.KCC, 8) }
 func BenchmarkScalingEH8(b *testing.B) { benchDataParallel(b, marvel.KEH, 8) }
 
-// --- sharded serving engine --------------------------------------------------
+// --- verified-dispatch serving ----------------------------------------------
 
-// benchServeConfig is the sharded engine's acceptance scenario: a
-// 16-blade pool in verified-dispatch mode (every dispatch re-runs the
-// full machine simulation nested in its blade's wheel), bursty arrivals
-// so whole blade-fulls of work land on one barrier, and no deadlines so
-// nothing is shed. The only difference between the Seq and Sharded
-// benchmarks is the engine driving the blades; their reports are
-// byte-identical (TestShardedMatchesSequentialLoop and friends).
+// benchServeConfig is the verified-dispatch scenario: a 16-blade pool in
+// -fullsim mode (every dispatch re-runs the full machine simulation
+// after the event loop), bursty arrivals, and no deadlines so nothing
+// is shed.
 func benchServeConfig() serve.Config {
 	return serve.Config{
 		Blades:       16,
@@ -389,45 +388,35 @@ var benchServeCal = sync.OnceValues(func() (*serve.Calibration, error) {
 	return serve.Calibrate(benchServeConfig())
 })
 
-func benchServe(b *testing.B, seqsim, noLookahead bool) {
+// BenchmarkServeFullSim times one verified-dispatch serve run with the
+// per-dispatch verification simulations fanned out over 1 worker and
+// over GOMAXPROCS workers. The event loop is the same sequential loop in
+// both; the gap between the two is the verification fan-out's speed-up.
+func BenchmarkServeFullSim(b *testing.B) {
 	cal, err := benchServeCal()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := benchServeConfig()
-	cfg.Cal = cal
-	cfg.SeqSim = seqsim
-	cfg.NoLookahead = noLookahead
-	b.ResetTimer()
-	var rep *serve.Report
-	for i := 0; i < b.N; i++ {
-		if rep, err = serve.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
+	widths := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		widths = append(widths, n)
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(rep.Served), "served")
-	if !seqsim {
-		b.ReportMetric(float64(rep.Epochs), "epochs")
+	for _, shards := range widths {
+		cfg := benchServeConfig()
+		cfg.Cal = cal
+		cfg.Shards = shards
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var rep *serve.Report
+			for i := 0; i < b.N; i++ {
+				if rep, err = serve.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(rep.Served), "served")
+		})
 	}
 }
-
-// BenchmarkServeSeq is the sequential reference loop with inline
-// verified dispatch — the single-core baseline.
-func BenchmarkServeSeq(b *testing.B) { benchServe(b, true, false) }
-
-// BenchmarkServeSharded is the same run on per-blade event wheels
-// (workers = GOMAXPROCS) under the conservative lookahead coordinator.
-// On a multicore host the nested dispatch simulations spread across the
-// wheels; target is ≥2× over BenchmarkServeSeq at GOMAXPROCS ≥ 4, and
-// fewer epochs than BenchmarkServeBarrierPerArrival (the epochs metric).
-func BenchmarkServeSharded(b *testing.B) { benchServe(b, false, false) }
-
-// BenchmarkServeBarrierPerArrival is the sharded run with lookahead
-// disabled — an epoch barrier at every distinct arrival instant. The gap
-// to BenchmarkServeSharded is the synchronization cost the lookahead
-// protocol removes; the reports are byte-identical.
-func BenchmarkServeBarrierPerArrival(b *testing.B) { benchServe(b, false, true) }
 
 // --- substrate micro-benchmarks ---------------------------------------------
 

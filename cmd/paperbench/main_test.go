@@ -30,7 +30,6 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"servesed with wrong exp", []string{"-exp", "hosts", "-servesed", "9"}, 2, "-servesed only applies"},
 		{"burst with wrong exp", []string{"-exp", "overhead", "-burst", "3"}, 2, "-burst only applies"},
 		{"shards with wrong exp", []string{"-exp", "fig7", "-shards", "4"}, 2, "-shards only applies"},
-		{"seqsim with wrong exp", []string{"-exp", "table1", "-seqsim"}, 2, "-seqsim only applies"},
 		{"fullsim with wrong exp", []string{"-exp", "eqns", "-fullsim"}, 2, "-fullsim only applies"},
 		{"negative shards", []string{"-exp", "serve", "-shards", "-1"}, 2, "-shards must be >= 0"},
 		{"watchdog with wrong exp", []string{"-exp", "table1", "-watchdog", "250ms"}, 2, "-watchdog only applies"},
@@ -48,14 +47,13 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"faults flag with serve exp", []string{"-exp", "serve", "-faultseed", "3"}, -1, ""},
 		{"serve flags with serve exp", []string{"-exp", "serve", "-rate", "2", "-blades", "2", "-deadline", "-1", "-servesed", "9", "-burst", "1"}, -1, ""},
 		{"shard flags with serve exp", []string{"-exp", "serve", "-shards", "8", "-fullsim"}, -1, ""},
-		{"seqsim with serve exp", []string{"-exp", "serve", "-seqsim"}, -1, ""},
 		{"pools with wrong exp", []string{"-exp", "serve", "-pools", "4"}, 2, "-pools only applies"},
 		{"autoscale with wrong exp", []string{"-exp", "chaos", "-autoscale=false"}, 2, "-autoscale only applies"},
 		{"flash with wrong exp", []string{"-exp", "table1", "-flash=false"}, 2, "-flash only applies"},
 		{"zero pools", []string{"-exp", "fleet", "-pools", "0"}, 2, "-pools must be >= 1"},
 		{"negative pools", []string{"-exp", "fleet", "-pools", "-3"}, 2, "-pools must be >= 1"},
 		{"fleet flags with fleet exp", []string{"-exp", "fleet", "-pools", "4", "-autoscale=false", "-flash=false"}, -1, ""},
-		{"serve flags with fleet exp", []string{"-exp", "fleet", "-rate", "1.5", "-blades", "2", "-shards", "8", "-seqsim"}, -1, ""},
+		{"serve flags with fleet exp", []string{"-exp", "fleet", "-rate", "1.5", "-blades", "2", "-shards", "8"}, -1, ""},
 		{"faults flag with fleet exp", []string{"-exp", "fleet", "-faults", "blade-crash:blade=0,at=5ms"}, -1, ""},
 		{"workers with wrong exp", []string{"-exp", "serve", "-workers", "2"}, 2, "-workers only applies"},
 		{"reps with wrong exp", []string{"-exp", "fig7", "-reps", "3"}, 2, "-reps only applies"},
@@ -203,10 +201,10 @@ func experimentData(t *testing.T, raw []byte) map[string]json.RawMessage {
 	return out
 }
 
-// TestRunShardedMatchesSeqSimCLI checks the flag plumbing end to end: the
-// sharded default, an explicit -shards 8, and the -seqsim reference loop
-// must produce identical experiment data through the CLI.
-func TestRunShardedMatchesSeqSimCLI(t *testing.T) {
+// TestRunFullSimShardsCLI checks the -fullsim/-shards plumbing end to
+// end: verified dispatch at -shards 1 and -shards 8 must produce the
+// same experiment data through the CLI as the unverified run.
+func TestRunFullSimShardsCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
@@ -221,25 +219,20 @@ func TestRunShardedMatchesSeqSimCLI(t *testing.T) {
 		}
 		return experimentData(t, readFileT(t, jsonPath))
 	}
-	seq := invoke("seq", "-seqsim")
-	for _, v := range []struct {
-		name  string
-		extra []string
-	}{{"default", nil}, {"shards8", []string{"-shards", "8"}},
-		{"lookahead-off", []string{"-lookahead=false"}},
-		{"lookahead-off-shards8", []string{"-lookahead=false", "-shards", "8"}}} {
-		got := invoke(v.name, v.extra...)
-		if string(got["serve"]) != string(seq["serve"]) {
-			t.Fatalf("%s diverged from -seqsim:\n got %s\nwant %s", v.name, got["serve"], seq["serve"])
+	plain := invoke("plain")
+	for _, shards := range []string{"1", "8"} {
+		got := invoke("fullsim-shards"+shards, "-fullsim", "-shards", shards)
+		if string(got["serve"]) != string(plain["serve"]) {
+			t.Fatalf("-fullsim -shards %s diverged from the unverified run:\n got %s\nwant %s",
+				shards, got["serve"], plain["serve"])
 		}
 	}
 }
 
-// TestRunChaosMatchesSeqSimCLI checks the chaos experiment end to end:
-// the seeded blade-lifecycle schedule must produce identical experiment
-// data through the CLI on the sharded wheels and the sequential
-// reference loop, and the chaos run's ledger must conserve.
-func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
+// TestRunChaosCLI checks the chaos experiment end to end: the seeded
+// blade-lifecycle schedule must fire through the CLI and the chaos
+// run's ledger must conserve.
+func TestRunChaosCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
@@ -254,11 +247,7 @@ func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
 		}
 		return experimentData(t, readFileT(t, jsonPath))
 	}
-	seq := invoke("seq", "-seqsim")
-	sharded := invoke("shards8", "-shards", "8")
-	if string(sharded["chaos"]) != string(seq["chaos"]) {
-		t.Fatalf("-shards 8 diverged from -seqsim:\n got %s\nwant %s", sharded["chaos"], seq["chaos"])
-	}
+	data := invoke("chaos")
 	var res struct {
 		Spec  string `json:"spec"`
 		Chaos struct {
@@ -271,11 +260,11 @@ func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
 			BladeCrashes  int `json:"blade_crashes"`
 		} `json:"chaos"`
 	}
-	if err := json.Unmarshal(seq["chaos"], &res); err != nil {
+	if err := json.Unmarshal(data["chaos"], &res); err != nil {
 		t.Fatalf("chaos data did not parse: %v", err)
 	}
 	if res.Spec == "" || res.Chaos.BladeCrashes == 0 {
-		t.Fatalf("chaos run fired no blade crash: %s", seq["chaos"])
+		t.Fatalf("chaos run fired no blade crash: %s", data["chaos"])
 	}
 	sum := res.Chaos.Served + res.Chaos.ShedRejected + res.Chaos.ShedExpired +
 		res.Chaos.ShedRerouted + res.Chaos.ShedExhausted
@@ -284,12 +273,11 @@ func TestRunChaosMatchesSeqSimCLI(t *testing.T) {
 	}
 }
 
-// TestRunFleetMatchesSeqSimCLI checks the fleet experiment end to end:
-// the routed, autoscaled fleet under flash-crowd load must produce
-// identical experiment data through the CLI on the sharded wheels and
-// the sequential reference loop, the six-term ledger must conserve, and
-// the autoscaler must demonstrably drain off-peak.
-func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
+// TestRunFleetCLI checks the fleet experiment end to end: through the
+// CLI, the routed, autoscaled fleet under flash-crowd load must conserve
+// its six-term ledger, and the autoscaler must demonstrably drain
+// off-peak.
+func TestRunFleetCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
@@ -307,11 +295,7 @@ func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
 		}
 		return experimentData(t, readFileT(t, jsonPath))
 	}
-	seq := invoke("seq", "-seqsim")
-	sharded := invoke("shards8", "-shards", "8")
-	if string(sharded["fleet"]) != string(seq["fleet"]) {
-		t.Fatalf("-shards 8 diverged from -seqsim:\n got %s\nwant %s", sharded["fleet"], seq["fleet"])
-	}
+	data := invoke("fleet")
 	var res struct {
 		Fleet struct {
 			Requests      int `json:"requests"`
@@ -331,7 +315,7 @@ func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
 		GoodputFleet  int `json:"goodput_fleet"`
 		GoodputSingle int `json:"goodput_single"`
 	}
-	if err := json.Unmarshal(seq["fleet"], &res); err != nil {
+	if err := json.Unmarshal(data["fleet"], &res); err != nil {
 		t.Fatalf("fleet data did not parse: %v", err)
 	}
 	f := res.Fleet
@@ -343,7 +327,7 @@ func TestRunFleetMatchesSeqSimCLI(t *testing.T) {
 		t.Fatalf("fleet ran %d pools, want 4", f.Stats.Pools)
 	}
 	if f.Stats.ScaleDowns == 0 || f.Stats.ActiveMin >= f.Stats.Pools {
-		t.Fatalf("autoscaler never drained: %s", seq["fleet"])
+		t.Fatalf("autoscaler never drained: %s", data["fleet"])
 	}
 	if res.GoodputFleet <= res.GoodputSingle {
 		t.Fatalf("fleet goodput %d does not beat the single pool %d", res.GoodputFleet, res.GoodputSingle)

@@ -32,12 +32,6 @@ type ServeConfig struct {
 type ServeResult struct {
 	Estimator  *serve.Report `json:"estimator"`
 	RoundRobin *serve.Report `json:"round_robin"`
-
-	// Epochs is the total epoch-barrier count over both policy runs —
-	// the synchronization cost the lookahead protocol exists to shrink.
-	// Excluded from JSON so experiment data stays byte-identical across
-	// -lookahead on/off, -seqsim, and every -shards count.
-	Epochs uint64 `json:"-"`
 }
 
 // serveBase assembles the serve.Config for this experiment configuration
@@ -70,8 +64,6 @@ func (c Config) serveBase() (serve.Config, error) {
 		Watchdog:      c.Watchdog,
 		Parallel:      c.workers(),
 		Shards:        c.Shards,
-		SeqSim:        c.SeqSim,
-		NoLookahead:   c.NoLookahead,
 		FullFidelity:  c.FullSim,
 		Instrument:    c.Collect != nil,
 	}
@@ -130,13 +122,10 @@ func ServeExp(cfg Config) (*ServeResult, error) {
 			return nil, err
 		}
 		*p.out = rep
-		res.Epochs += rep.Epochs
 		for _, bs := range rep.PerBlade {
 			cfg.Collect.AddArtifacts(fmt.Sprintf("serve/%s/blade%d", rep.Policy, bs.Blade), bs.Trace, bs.Metrics)
 		}
-		if rep.Coordinator != nil || rep.Sim != nil {
-			cfg.Collect.AddArtifacts(fmt.Sprintf("serve/%s/sim", rep.Policy), rep.Coordinator, rep.Sim)
-		}
+		cfg.Collect.AddArtifacts(fmt.Sprintf("serve/%s/coordinator", rep.Policy), rep.Coordinator, nil)
 	}
 	return res, nil
 }
@@ -157,12 +146,4 @@ func RenderServe(w io.Writer, r *ServeResult) {
 		e.SchemeBatches, e.PolicyFallbacks, e.EstimatorConclusive)
 	good := func(rep *serve.Report) int { return rep.Served - rep.Late }
 	fmt.Fprintf(w, "goodput (served on time): estimator %d vs round-robin %d\n", good(r.Estimator), good(r.RoundRobin))
-	if r.Epochs > 0 {
-		fmt.Fprintf(w, "sync: %d epochs", r.Epochs)
-		for _, rep := range []*serve.Report{r.Estimator, r.RoundRobin} {
-			fmt.Fprintf(w, " | %s: %d barriers, %d window admits, barrier wait %s",
-				rep.Policy, rep.Barriers, rep.WindowAdmits, rep.BarrierWait)
-		}
-		fmt.Fprintln(w)
-	}
 }

@@ -143,6 +143,16 @@ func TestRunPortedEmptyWorkload(t *testing.T) {
 	}
 }
 
+// TestStartPortedRejectsEmptyWorkload keeps the validation contract on a
+// config that names only a scenario: the zero workload is rejected before
+// any machine is built.
+func TestStartPortedRejectsEmptyWorkload(t *testing.T) {
+	_, err := RunPorted(PortedConfig{Scenario: SingleSPE})
+	if !errors.Is(err, ErrEmptyWorkload) {
+		t.Fatalf("err = %v, want ErrEmptyWorkload", err)
+	}
+}
+
 // TestPortedCacheOnOffIdentical asserts the acceptance criterion: a run
 // through the shared-artifact path and a cold NoCache run produce
 // byte-identical feature outputs, identical virtual times, and the same

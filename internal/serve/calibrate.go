@@ -248,9 +248,8 @@ func detOpsShare(n, dim int) float64 {
 // Calibrate measures the dispatch service table (every scheme × geometry
 // × batch size the loop can request) and fits the Eqs. 1-3 estimator
 // from a PPE reference run and a single-SPE ported run per geometry. All
-// simulations are independent and fan out wheel-per-job over a drained
-// ShardedEngine (parallel.RunWheels) bounded by the configured worker
-// pool; the assembled table is byte-identical at any parallelism, and
+// simulations are independent and fan out over the worker pool
+// (parallel.RunIndexed) bounded by cfg.Parallel; the assembled table is byte-identical at any parallelism, and
 // workcache hits/misses stay deterministic because the job set — not the
 // execution order — determines which artifacts are built.
 func Calibrate(cfg Config) (*Calibration, error) {
@@ -287,7 +286,7 @@ func Calibrate(cfg Config) (*Calibration, error) {
 		ref    *marvel.ReferenceResult
 		ported *marvel.PortedResult
 	}
-	outs, err := parallel.RunWheels(cfg.Parallel, len(jobs), func(i int, _ *sim.Engine) (jobOut, error) {
+	outs, err := parallel.RunIndexed(cfg.Parallel, len(jobs), func(i int) (jobOut, error) {
 		j := jobs[i]
 		switch j.kind {
 		case 0:

@@ -6,9 +6,8 @@ import (
 
 // Fleet mode (DESIGN.md §13): the run's blades are partitioned into
 // Config.Pools independent pools of Config.Blades blades each. Each pool
-// keeps its own admission rotation and queue set; calibration tables and
-// the wheel set are shared across the fleet (one wheel per blade, as in
-// the single-pool run). A router places each arrival on a pool by
+// keeps its own admission rotation and queue set; calibration tables
+// and the event loop are shared across the fleet. A router places each arrival on a pool by
 // consistent hashing of its geometry key, with an estimator-aware
 // override toward the pool with the earliest estimated finish frontier;
 // when no active pool has room the request is shed globally
@@ -16,9 +15,8 @@ import (
 // autoscaler (autoscale.go) activates and drains pools from virtual-time
 // load signals, driving drains through the blade lifecycle machinery.
 //
-// Everything here is coordinator state: routing, scaling, and the ring
-// are only touched while the wheels are quiescent, so fleet runs stay
-// byte-identical across -seqsim, -shards N, -lookahead, and -parallel.
+// Routing, scaling and the ring run inside the one serve event loop, so
+// fleet runs stay byte-identical across -shards and -parallel.
 
 // poolShard is one pool of the fleet: a contiguous pool-major slice of
 // the run's blades plus the pool-local admission rotation.

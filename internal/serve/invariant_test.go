@@ -17,7 +17,7 @@ func estOneRef(c *Calibration, r Request) sim.Duration {
 }
 
 // checkBacklogs asserts the admission cost model's invariant for the
-// rest of the test: at every coordinator step of every run, each blade's
+// rest of the test: at every step of every run's event loop, each blade's
 // incrementally kept backlog equals Σ estOne over its queue, recomputed
 // from the Calibration. The check must see at least one queued request,
 // so a test that never builds a queue cannot pass it vacuously.
@@ -25,7 +25,7 @@ func checkBacklogs(t *testing.T) {
 	t.Helper()
 	failed := false
 	queued := 0
-	barrierHook = func(p *pool) {
+	stepHook = func(p *pool) {
 		for _, b := range p.blades {
 			var want sim.Duration
 			for _, q := range b.queue {
@@ -40,7 +40,7 @@ func checkBacklogs(t *testing.T) {
 		}
 	}
 	t.Cleanup(func() {
-		barrierHook = nil
+		stepHook = nil
 		if queued == 0 {
 			t.Error("backlog invariant never observed a queued request")
 		}

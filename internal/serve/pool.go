@@ -6,27 +6,21 @@ import (
 	"slices"
 
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/sim"
 	"cellport/internal/trace"
 )
 
 // blade is one serving Cell blade: a bounded admission queue, the
 // in-flight dispatch (if any), and the blade-local slice of the run's
-// accounting. The blade's machine itself is not held here — dispatch
-// timing comes from the calibrated service table, which was measured on
-// a machine identical to the one this blade models (FullFidelity re-runs
-// that machine per dispatch to prove it).
-//
-// All mutable state below the wheel field is owned by the blade: in a
-// sharded run it is touched only by events on this blade's wheel, or by
-// the coordinator while every wheel is quiescent at an epoch barrier.
-// That ownership is what lets the wheels run concurrently without locks,
-// and the blade-index merge in report() is what keeps the result
-// byte-identical to the sequential loop.
+// accounting, merged in blade-index order by report(). The blade's
+// machine itself is not held here — dispatch timing comes from the
+// calibrated service table, which was measured on a machine identical to
+// the one this blade models (FullFidelity re-runs that machine per
+// dispatch to prove it).
 type blade struct {
-	id    int
-	lane  string
-	wheel *sim.Engine // this blade's event wheel (nil in the sequential loop)
+	id   int
+	lane string
 
 	queue []Request
 	spare []Request // recycled batch buffer (capacity MaxBatch, reused across dispatches)
@@ -42,13 +36,9 @@ type blade struct {
 	// bladeScore is O(1) instead of a walk over the queue.
 	backlog sim.Duration
 
-	// Lifecycle state (DESIGN.md §12). health gates admission; gen
-	// invalidates completion events scheduled for dispatches that a kill
-	// or stall subsequently rewrote (the stale closure finds a newer
-	// generation and returns untouched); stallRestore remembers the state
-	// a transient stall must restore.
+	// Lifecycle state (DESIGN.md §12). health gates admission;
+	// stallRestore remembers the state a transient stall must restore.
 	health       health
-	gen          uint64
 	stallRestore health
 	// restartPending pairs a fault drain with its restart fire so the
 	// fire can't claim an unrelated drain; parkPending marks an
@@ -80,8 +70,6 @@ type blade struct {
 	latencies       []sim.Duration
 	lastDone        sim.Time
 
-	verifyErr error // first FullFidelity divergence on this blade
-
 	// rec records the blade's spans and instants when Config.Instrument
 	// is set; nil otherwise, and every label is built only behind a
 	// rec != nil check so bare runs format nothing.
@@ -95,16 +83,11 @@ func (b *blade) instant(at sim.Time, label string) {
 	}
 }
 
-// pool is the deterministic serving event loop: a virtual clock advanced
-// strictly by arrival and completion events. Completions at a timestamp
-// are processed before arrivals at the same timestamp; simultaneous
-// completions resolve by blade index (trivially in the sequential loop,
-// and by construction in the sharded run, where same-timestamp
-// completions on different wheels touch only disjoint blade state).
-//
-// Admission state (rr, shedRejected, placement fallbacks, the placeOrder
-// scratch buffers) belongs to the coordinator alone: it is only touched
-// while the wheels are quiescent.
+// pool is the deterministic serving event loop (DESIGN.md §9): one
+// virtual clock advanced strictly by completion, lifecycle, autoscale,
+// re-admission and arrival events. Completions at a timestamp are
+// processed before arrivals at the same timestamp; simultaneous
+// completions resolve by blade index.
 type pool struct {
 	cfg      Config
 	cal      *Calibration
@@ -113,42 +96,30 @@ type pool struct {
 	blades   []*blade
 	rr       int
 	now      sim.Time
-	sharded  bool
 
 	// fleet is the multi-pool routing/autoscaling layer (DESIGN.md §13);
 	// nil selects the classic single-pool admission path. In fleet mode
 	// p.blades still holds every blade (pool-major, blade-index order) —
-	// the wheels, the ledger merge, and the lifecycle machinery are
-	// shared — while fleet.pools partitions them for routing.
+	// the ledger merge and the lifecycle machinery are shared — while
+	// fleet.pools partitions them for routing.
 	fleet *fleetState
-
-	// lastTouched is the wheel index the most recent admit dispatched or
-	// queued into (−1 when the request was shed), letting the lookahead
-	// coordinator refresh its horizon in O(1) via sim.HorizonAfter.
-	lastTouched int
 
 	shedRejected   int
 	placeFallbacks int
 
-	// Lifecycle coordinator state: the compiled blade-fault schedule
-	// (sorted, consumed via fi) and the pending re-admissions heap. Both
-	// are coordinator-only, like the admission state above.
+	// Lifecycle state: the compiled blade-fault schedule (sorted,
+	// consumed via fi) and the pending re-admissions heap.
 	faultSched []bladeEvent
 	fi         int
 	reroutes   rerouteHeap
 	rerouteSeq uint64
 
-	// Coordinator-side synchronization accounting (sharded run only):
-	// epochs/barriers from the engine, windowAdmits counts arrivals the
-	// lookahead coordinator committed without paying a barrier, and
-	// barrierWait is the engine's accumulated virtual idle time.
-	epochs       uint64
-	barriers     uint64
-	windowAdmits int
-	barrierWait  sim.Duration
+	// verify collects one job per dispatch when Config.FullFidelity is
+	// set; Run replays them after the loop (verifyDispatches).
+	verify []verifyJob
 
-	// ctr records coordinator-lane trace events (one instant per epoch
-	// barrier) when Config.Instrument is set; nil otherwise.
+	// ctr records pool-wide trace events (autoscale actions, sheds with
+	// no blade to blame) when Config.Instrument is set; nil otherwise.
 	ctr *trace.Recorder
 
 	// placeOrder scratch, hoisted out of the admission hot path.
@@ -157,15 +128,13 @@ type pool struct {
 	idxBuf   []int
 }
 
-// barrierHook, when set, runs at every step of the sequential loop and
-// at both ends of every sharded barrier (and once after the final
-// drain): coordinator points where every wheel is quiescent. Tests set
-// it to check incrementally kept state, such as blade backlogs, against
-// a from-scratch recompute; it is nil otherwise.
-var barrierHook func(*pool)
+// stepHook, when set, runs before every step of the event loop. Tests
+// set it to check incrementally kept state, such as blade backlogs,
+// against a from-scratch recompute; it is nil otherwise.
+var stepHook func(*pool)
 
-// coordLane is the trace lane carrying coordinator events (epoch
-// barriers), distinct from the per-blade lanes.
+// coordLane is the trace lane carrying pool-wide events, distinct from
+// the per-blade lanes.
 const coordLane = "coordinator"
 
 func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
@@ -176,14 +145,13 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 		total = cfg.Blades * cfg.Pools
 	}
 	p := &pool{
-		cfg:         cfg,
-		cal:         cal,
-		fc:          cal.flatten(cfg.MaxBatch),
-		deadline:    deadline,
-		lastTouched: -1,
-		ordBuf:      make([]*blade, total),
-		scoreBuf:    make([]sim.Duration, total),
-		idxBuf:      make([]int, total),
+		cfg:      cfg,
+		cal:      cal,
+		fc:       cal.flatten(cfg.MaxBatch),
+		deadline: deadline,
+		ordBuf:   make([]*blade, total),
+		scoreBuf: make([]sim.Duration, total),
+		idxBuf:   make([]int, total),
 	}
 	if cfg.Instrument {
 		p.ctr = trace.NewRecorder()
@@ -205,21 +173,20 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 	return p
 }
 
-// run plays the sequential event loop over the arrival stream until every
-// admitted request has completed or been shed. It is the reference
-// semantics the sharded run must reproduce byte-for-byte.
+// run plays the event loop over the arrival stream until every admitted
+// request has completed or been shed.
 //
 // Event priority at equal timestamps: completions, then lifecycle
-// faults, then re-admissions of evicted requests, then fresh arrivals —
-// the same total order the sharded coordinator derives from inclusive
-// RunUntil plus coordClass. The run ends when no completion, re-route,
-// or arrival remains; lifecycle faults scheduled past that point never
-// fire (armed-but-unfired, see faultEligible).
+// faults, then autoscale ticks, then re-admissions of evicted requests,
+// then fresh arrivals. The run ends when no completion, re-route, or
+// arrival remains; lifecycle faults and autoscale ticks scheduled past
+// that point never fire (armed-but-unfired), which is what makes an
+// unfired blade plan byte-identical to no plan.
 func (p *pool) run(reqs []Request) {
 	ai := 0
 	for {
-		if barrierHook != nil {
-			barrierHook(p)
+		if stepHook != nil {
+			stepHook(p)
 		}
 		nextArr := sim.Never
 		if ai < len(reqs) {
@@ -264,145 +231,6 @@ func (p *pool) run(reqs []Request) {
 	}
 }
 
-// runSharded plays the identical semantics on one event wheel per blade.
-// With lookahead off, each distinct arrival timestamp is an epoch
-// barrier: the coordinator admits that instant's arrivals alone, in
-// stream order, exactly as the sequential loop would. RunUntil is
-// inclusive of the barrier time, so completions at an arrival's
-// timestamp still precede the admission, matching the sequential loop's
-// tie-break.
-//
-// With lookahead on, the coordinator exploits the conservative horizon
-// (ShardedEngine.Horizon — the earliest pending event across all
-// wheels): while the wheels are quiescent, any arrival strictly below
-// the horizon can be admitted immediately, because no wheel event — in
-// particular no completion — exists at or before its timestamp, so the
-// per-arrival schedule would have admitted it into exactly this pool
-// state anyway. Admission itself schedules completion events (shrinking
-// the horizon), so the horizon is re-read after every commit. Only the
-// first arrival at or past the horizon forces a barrier; arrivals
-// sharing that barrier's timestamp are then admitted after the epoch
-// runs, preserving the completions-before-same-instant-arrivals rule.
-// The two schedules produce identical per-wheel event sequences, so the
-// reports are byte-identical — lookahead only deletes barriers whose
-// ordering constraints were vacuous.
-//
-// Lifecycle faults are coordinator-observed events: a planned blade
-// fault is always a barrier (killing a blade reads and writes state
-// across the pool, so the wheels must be quiescent), and the engine
-// fence (ShardedEngine.SetFence) pins the horizon at the next scheduled
-// fault instant, so lookahead windows structurally cannot admit past a
-// fault even before any wheel knows about it. Re-admissions of evicted
-// requests window-admit exactly like arrivals when strictly below the
-// horizon. Same-instant ordering matches the sequential loop: wheel
-// completions run inside the epoch (RunUntil is inclusive), then the
-// barrier applies faults, re-admissions, and arrivals in coordClass
-// order.
-func (p *pool) runSharded(reqs []Request, workers int, lookahead bool) error {
-	sh := sim.NewSharded(len(p.blades), workers)
-	for i, b := range p.blades {
-		b.wheel = sh.Wheel(i)
-	}
-	p.sharded = true
-	ai := 0
-	p.setFence(sh)
-	err := sh.Run(
-		func() (sim.Time, bool) {
-			h := sh.Horizon()
-			for {
-				t, class, ok := p.nextCoord(reqs, ai)
-				if !ok {
-					return 0, false
-				}
-				// Coordinator-scheduled instants (faults, autoscale
-				// ticks) are always barriers: they read and write state
-				// across the pool, so the wheels must be quiescent.
-				if !lookahead || class == coordFault || class == coordTick || t >= h {
-					return t, true
-				}
-				// p.now drives placement scoring and deadline shedding,
-				// so it must track each admitted event exactly as a
-				// barrier at that instant would have set it.
-				p.now = t
-				if class == coordReroute {
-					p.admit(p.popReroute())
-				} else {
-					p.admit(reqs[ai])
-					ai++
-				}
-				p.windowAdmits++
-				// Admission touches at most one wheel, so the horizon
-				// refresh is O(1) instead of an all-wheels rescan.
-				if p.lastTouched >= 0 {
-					h = sh.HorizonAfter(p.lastTouched, h)
-				}
-			}
-		},
-		func(t sim.Time) {
-			if barrierHook != nil {
-				barrierHook(p)
-			}
-			p.barriers++
-			if p.ctr != nil {
-				p.ctr.Instant(coordLane, t, "epoch barrier")
-			}
-			p.now = t
-			for p.fi < len(p.faultSched) && p.faultSched[p.fi].at == t {
-				if !p.faultEligible(reqs, ai) {
-					// The last request resolved during this epoch: the
-					// run is over and every remaining fault stays
-					// armed-but-unfired, as in the sequential loop.
-					p.fi = len(p.faultSched)
-					break
-				}
-				p.applyFault(p.faultSched[p.fi])
-				p.fi++
-			}
-			for p.nextTick() == t {
-				if !p.faultEligible(reqs, ai) {
-					// Run over: the autoscaler stops sampling, exactly as
-					// the sequential loop returns before a trailing tick.
-					p.fleet.scaler.next = sim.Never
-					break
-				}
-				p.autoscaleTick()
-			}
-			p.setFence(sh)
-			for len(p.reroutes) > 0 && p.reroutes[0].at == t {
-				p.admit(p.popReroute())
-			}
-			for ai < len(reqs) && reqs[ai].Arrival == t {
-				p.admit(reqs[ai])
-				ai++
-			}
-			if barrierHook != nil {
-				barrierHook(p)
-			}
-		},
-	)
-	if barrierHook != nil {
-		barrierHook(p)
-	}
-	p.epochs = sh.Epochs()
-	p.barrierWait = sh.BarrierWait()
-	return err
-}
-
-// setFence pins the engine fence at the earliest coordinator-scheduled
-// instant — the next planned fault or autoscale tick — so lookahead
-// windows structurally cannot admit past it even before any wheel knows
-// about it.
-func (p *pool) setFence(sh *sim.ShardedEngine) {
-	fence := sim.Never
-	if p.fi < len(p.faultSched) {
-		fence = p.faultSched[p.fi].at
-	}
-	if tick := p.nextTick(); tick < fence {
-		fence = tick
-	}
-	sh.SetFence(fence)
-}
-
 // earliestBusy returns the busy blade finishing first (lowest index on
 // ties), or nil when the pool is idle.
 func (p *pool) earliestBusy() *blade {
@@ -426,8 +254,7 @@ func (p *pool) estOne(r Request) sim.Duration { return p.fc.est1[geomIdx(r.Tall)
 // remaining in-flight work, plus warmup for a cold or restarted blade,
 // plus the estimated backlog of its queue (the incrementally kept
 // b.backlog). Both the per-pool placement order and the fleet router's
-// frontier comparison rank by it. Coordinator-only (reads cross-blade
-// state through p.now).
+// frontier comparison rank by it.
 func (p *pool) bladeScore(b *blade) sim.Duration {
 	s := b.backlog
 	if b.busy {
@@ -454,8 +281,8 @@ func (p *pool) placeOrder(r Request) []*blade {
 // the blades — uses plain rotation over rr, which belongs to the
 // candidate set (the pool shard in fleet mode). With every blade healthy
 // the order is exactly the pre-lifecycle one. The returned slice is pool
-// scratch, valid until the next call (coordinator-only); it is empty
-// when no blade is admittable.
+// scratch, valid until the next call; it is empty when no blade is
+// admittable.
 func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 	n := len(blades)
 	rot := func() []*blade {
@@ -508,14 +335,12 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 
 // admitInto places r on the first blade of order with queue room,
 // dispatching immediately if that blade is idle, and reports whether
-// the request was admitted. The touched wheel is recorded for the
-// lookahead coordinator's O(1) horizon refresh.
+// the request was admitted.
 func (p *pool) admitInto(r Request, order []*blade) bool {
 	for _, b := range order {
 		if len(b.queue) < p.cfg.MaxQueue {
 			b.queue = append(b.queue, r)
 			b.backlog += p.estOne(r)
-			p.lastTouched = b.id
 			if !b.busy {
 				p.dispatch(b, p.now)
 			}
@@ -531,12 +356,8 @@ func (p *pool) admitInto(r Request, order []*blade) bool {
 // candidate queue full — or no admittable blade at all — are shed
 // (backpressure). In fleet mode the router first picks the pool
 // (consistent hashing with estimator override), and exhausted candidacy
-// is global backpressure (shed_global). Admission always runs on the
-// coordinator: in the sharded run the wheels are quiescent at the
-// barrier, so the synchronous dispatch here observes exactly the state
-// the sequential loop would.
+// is global backpressure (shed_global).
 func (p *pool) admit(r Request) {
-	p.lastTouched = -1
 	if p.fleet != nil {
 		p.admitFleet(r)
 		return
@@ -564,9 +385,6 @@ func (p *pool) recordShedRejected(first *blade, r Request) {
 // dispatch sheds queued requests that can no longer meet their deadline,
 // coalesces the head-compatible requests into one batch, picks the
 // scheduling scheme, and starts the dispatch on b at virtual time now.
-// It runs either on the coordinator (admission to an idle blade) or on
-// b's own wheel (completion-triggered redispatch), so it must only touch
-// b and immutable pool state.
 func (p *pool) dispatch(b *blade, now sim.Time) {
 	// A request that cannot finish by its deadline even if dispatched
 	// alone right now is hopeless: shed it instead of wasting a blade.
@@ -646,80 +464,55 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	}
 
 	if p.cfg.FullFidelity {
-		k := len(batch)
-		if b.wheel != nil {
-			// Scheduled before the completion event at the same instant,
-			// so the wheel's FIFO lane runs the verification first — and,
-			// crucially, inside the wheel's goroutine, which is where the
-			// sharded run's real parallel work comes from.
-			b.wheel.At(b.done, func() { p.verifyDispatch(b, scheme, tall, k) })
-		} else {
-			p.verifyDispatch(b, scheme, tall, k)
-		}
+		p.verify = append(p.verify, verifyJob{blade: b.id, seq: b.dispatches, scheme: scheme, tall: tall, k: len(batch)})
 	}
-	p.scheduleCompletion(b)
 }
 
-// scheduleCompletion schedules b's current dispatch completion on its
-// wheel (no-op in the sequential loop, which polls earliestBusy). The
-// closure captures the dispatch generation: a kill or stall that rewrote
-// the dispatch bumps b.gen, so the stale event fires, finds a newer
-// generation, and returns without touching the ledger.
-func (p *pool) scheduleCompletion(b *blade) {
-	if b.wheel == nil {
-		return
-	}
-	gen := b.gen
-	b.wheel.At(b.done, func() {
-		if b.gen == gen {
-			p.complete(b)
+// verifyJob is one dispatch FullFidelity must re-simulate: the blade and
+// its dispatch sequence number locate it, the (scheme, geometry, batch)
+// point is what the loop charged from the calibration table.
+type verifyJob struct {
+	blade, seq int
+	scheme     Scheme
+	tall       bool
+	k          int
+}
+
+// verifyDispatches re-runs the full machine simulation behind every
+// recorded dispatch on up to cfg.Shards workers and cross-checks each
+// against the calibration table entry the event loop charged. The nested
+// runs are pure functions of their configs, so any divergence means the
+// table no longer describes the machine. Jobs are ordered by (blade,
+// dispatch sequence) and RunIndexed returns the lowest-index error, so
+// the reported divergence — the lowest affected blade's first diverging
+// dispatch — is the same at every worker count.
+func (p *pool) verifyDispatches() error {
+	jobs := p.verify
+	slices.SortStableFunc(jobs, func(a, b verifyJob) int { return cmp.Compare(a.blade, b.blade) })
+	_, err := parallel.RunIndexed(p.cfg.Shards, len(jobs), func(i int) (struct{}, error) {
+		j := jobs[i]
+		res, err := marvel.RunPorted(p.cfg.portedConfig(j.scheme.scenario(), j.tall, j.k, true))
+		if err != nil {
+			return struct{}{}, fmt.Errorf("serve: blade %d: full-fidelity dispatch #%d %s/tall=%v/k=%d: %w",
+				j.blade, j.seq, j.scheme, j.tall, j.k, err)
 		}
+		got := svc{Service: res.Total - res.OneTime, Warmup: res.OneTime}
+		if rep := res.Faults; rep != nil {
+			got.Degraded = rep.Retries > 0 || rep.Redispatches > 0 || rep.Fallbacks > 0
+			got.DegTime = rep.DegradedTime
+		}
+		if want := p.cal.service(svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k}); got != want {
+			return struct{}{}, fmt.Errorf("serve: blade %d: full-fidelity dispatch #%d %s/tall=%v/k=%d diverged from calibration: got %+v want %+v",
+				j.blade, j.seq, j.scheme, j.tall, j.k, got, want)
+		}
+		return struct{}{}, nil
 	})
+	return err
 }
 
-// verifyDispatch re-runs the full machine simulation behind one dispatch
-// and cross-checks it against the calibration table entry the event loop
-// charged. The nested run is a pure function of its config, so any
-// divergence means the table no longer describes the machine. Only the
-// first divergence per blade is kept.
-func (p *pool) verifyDispatch(b *blade, scheme Scheme, tall bool, k int) {
-	if b.verifyErr != nil {
-		return
-	}
-	res, err := marvel.RunPorted(p.cfg.portedConfig(scheme.scenario(), tall, k, true))
-	if err != nil {
-		b.verifyErr = fmt.Errorf("serve: blade %d: full-fidelity dispatch %s/tall=%v/k=%d: %w",
-			b.id, scheme, tall, k, err)
-		return
-	}
-	got := svc{Service: res.Total - res.OneTime, Warmup: res.OneTime}
-	if rep := res.Faults; rep != nil {
-		got.Degraded = rep.Retries > 0 || rep.Redispatches > 0 || rep.Fallbacks > 0
-		got.DegTime = rep.DegradedTime
-	}
-	want := p.cal.service(svcKey{Scheme: scheme, Tall: tall, K: k})
-	if got != want {
-		b.verifyErr = fmt.Errorf("serve: blade %d: full-fidelity dispatch %s/tall=%v/k=%d diverged from calibration: got %+v want %+v",
-			b.id, scheme, tall, k, got, want)
-	}
-}
-
-// firstVerifyErr returns the lowest-blade-index FullFidelity divergence,
-// if any — a deterministic pick regardless of wheel scheduling.
-func (p *pool) firstVerifyErr() error {
-	for _, b := range p.blades {
-		if b.verifyErr != nil {
-			return b.verifyErr
-		}
-	}
-	return nil
-}
-
-// complete retires b's in-flight batch, accounts per-request latency and
-// deadline outcomes on the blade, and immediately redispatches if work
-// is queued. In the sharded run it fires as an event on b's wheel, so it
-// derives its own time from the dispatch record rather than the
-// coordinator clock.
+// complete retires b's in-flight batch at its completion instant b.done,
+// accounts per-request latency and deadline outcomes on the blade, and
+// immediately redispatches if work is queued.
 func (p *pool) complete(b *blade) {
 	t := b.done
 	for _, r := range b.cur {
@@ -746,7 +539,5 @@ func (p *pool) complete(b *blade) {
 	}
 	p.dispatch(b, t)
 	// An autoscale-drained blade parks once its queue is served out.
-	// maybePark touches only blade-owned state, so it is safe here on
-	// the blade's own wheel.
 	p.maybePark(b, t)
 }

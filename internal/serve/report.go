@@ -89,21 +89,18 @@ type Report struct {
 	// fleet mode (Config.Pools > 0).
 	Fleet *FleetStats `json:"fleet,omitempty"`
 
-	// Coordinator synchronization stats (sharded runs only; zero under
-	// SeqSim). Excluded from JSON: the serialized report must stay
-	// byte-identical across -seqsim, -lookahead on/off, and every
-	// -shards count — these fields describe the schedule, not the
-	// simulation outcome.
-	Epochs       uint64       `json:"-"` // epoch-barrier rounds (final drain included)
-	Barriers     uint64       `json:"-"` // finite-deadline barriers the coordinator paid
-	WindowAdmits int          `json:"-"` // arrivals admitted inside a lookahead window (no barrier)
-	BarrierWait  sim.Duration `json:"-"` // virtual idle imposed by the barrier schedule
+	// Epochs, Barriers and WindowAdmits are always 0: the serve loop is
+	// one sequential event loop with no epoch barriers. They remain
+	// (excluded from JSON) only because the benchmark harness still
+	// reads them.
+	Epochs       uint64 `json:"-"`
+	Barriers     uint64 `json:"-"`
+	WindowAdmits int    `json:"-"`
 
-	// Coordinator is the coordinator-lane trace (one instant per epoch
-	// barrier) and Sim the synchronization metrics snapshot; both only
-	// with Config.Instrument, both excluded from JSON.
-	Coordinator *trace.Recorder   `json:"-"`
-	Sim         *metrics.Snapshot `json:"-"`
+	// Coordinator is the pool-wide trace lane (autoscale actions, sheds
+	// with no blade to blame); only with Config.Instrument, excluded
+	// from JSON.
+	Coordinator *trace.Recorder `json:"-"`
 }
 
 // PoolStats is one fleet pool's share of the run.
@@ -148,9 +145,7 @@ func percentile(sample []sim.Duration, q float64) sim.Duration {
 
 // report assembles the run outcome by merging the blade-local ledgers in
 // blade-index order. Every merged quantity is either a sum, a max, or an
-// order-insensitive percentile over the union of per-blade samples, so
-// the report is identical whether the blades ran sequentially or each on
-// its own wheel.
+// order-insensitive percentile over the union of per-blade samples.
 func (p *pool) report(offered float64) *Report {
 	var served, late, degraded, shedExpired, batches, batchRequests, fallbacks int
 	var shedRerouted, shedExhausted, rerouted, crashes, restarts, stalls int
@@ -246,19 +241,7 @@ func (p *pool) report(offered float64) *Report {
 	if served > 0 && lastDone > 0 {
 		r.AchievedRPS = float64(served) / lastDone.Seconds()
 	}
-	r.Epochs = p.epochs
-	r.Barriers = p.barriers
-	r.WindowAdmits = p.windowAdmits
-	r.BarrierWait = p.barrierWait
-	if p.cfg.Instrument {
-		r.Coordinator = p.ctr
-		reg := metrics.NewRegistry()
-		reg.Counter("sim", "epochs").Add(int64(p.epochs))
-		reg.Counter("sim", "barriers").Add(int64(p.barriers))
-		reg.Counter("sim", "barrier_wait").Add(int64(p.barrierWait))
-		reg.Counter("sim", "window_admits").Add(int64(p.windowAdmits))
-		r.Sim = reg.Snapshot()
-	}
+	r.Coordinator = p.ctr
 	for _, b := range p.blades {
 		bs := BladeStats{
 			Blade:         b.id,

@@ -123,26 +123,14 @@ type Config struct {
 	// Parallel bounds the worker pool used for calibration simulations;
 	// it never affects results, only wall-clock time.
 	Parallel int
-	// Shards bounds the workers driving the per-blade event wheels in the
-	// sharded run (zero selects GOMAXPROCS). Like Parallel it never
-	// affects results: the epoch-barrier protocol makes every worker
-	// count byte-identical.
+	// Shards bounds the workers re-running FullFidelity's per-dispatch
+	// verification simulations (zero selects GOMAXPROCS). Like Parallel
+	// it never affects results, including which divergence is reported.
 	Shards int
-	// SeqSim selects the sequential reference event loop instead of the
-	// sharded per-blade wheels. Both produce byte-identical reports; the
-	// sequential loop exists as the determinism oracle and fallback.
-	SeqSim bool
-	// NoLookahead disables the conservative lookahead protocol in the
-	// sharded run, restoring an epoch barrier at every distinct arrival
-	// instant. Reports are byte-identical either way; the per-arrival
-	// schedule exists as the oracle for the lookahead coordinator (and
-	// as the slow-but-obvious fallback).
-	NoLookahead bool
 	// FullFidelity re-runs the full machine simulation behind every
-	// dispatch (nested in the dispatching blade's wheel) and fails the
-	// run if any dispatch diverges from the calibration table. This is
-	// the verified-dispatch mode: much more expensive, byte-identical
-	// report.
+	// dispatch after the event loop and fails the run if any dispatch
+	// diverges from the calibration table. This is the verified-dispatch
+	// mode: much more expensive, byte-identical report.
 	FullFidelity bool
 	// Instrument attaches a per-blade trace recorder and metrics
 	// registry to the report (excluded from JSON, so artifacts stay
@@ -284,12 +272,8 @@ func Run(cfg Config) (*Report, error) {
 	// The expected arrival span is the autoscaler's natural time unit
 	// for its default sample grid.
 	p.armAutoscale(clampGap(float64(cfg.Requests) / offered))
-	if cfg.SeqSim {
-		p.run(reqs)
-	} else if err := p.runSharded(reqs, cfg.Shards, !cfg.NoLookahead); err != nil {
-		return nil, fmt.Errorf("serve: sharded run: %w", err)
-	}
-	if err := p.firstVerifyErr(); err != nil {
+	p.run(reqs)
+	if err := p.verifyDispatches(); err != nil {
 		return nil, err
 	}
 	return p.report(offered), nil

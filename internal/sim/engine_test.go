@@ -235,8 +235,31 @@ func TestDeadlockDetection(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected deadlock error")
 	}
-	if !strings.Contains(err.Error(), "stuck") || !strings.Contains(err.Error(), "orphan") {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sim: deadlock at ") {
+		t.Fatalf("deadlock report prefix changed: %s", msg)
+	}
+	if !strings.Contains(msg, "stuck") || !strings.Contains(msg, "orphan") {
 		t.Fatalf("unhelpful deadlock report: %v", err)
+	}
+}
+
+// TestUnshardedDeadlockMessageUnchanged pins the deadlock error shape: the
+// bare global report, with no mention of scheduling wheels.
+func TestUnshardedDeadlockMessageUnchanged(t *testing.T) {
+	e := NewEngine()
+	q := NewQueue("empty-mailbox")
+	e.Spawn("reader", func(p *Proc) { p.Wait(q) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("expected deadlock")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sim: deadlock at ") {
+		t.Fatalf("deadlock prefix changed: %s", msg)
+	}
+	if strings.Contains(msg, "wheel") {
+		t.Fatalf("deadlock report mentions wheels: %s", msg)
 	}
 }
 
