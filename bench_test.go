@@ -18,6 +18,7 @@ import (
 	"cellport/internal/cost"
 	"cellport/internal/experiments"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/serve"
 )
 
@@ -173,8 +174,9 @@ func benchScenario(b *testing.B, scen marvel.Scenario, images int) {
 // benchFig7Grid runs the whole Figure 7 experiment (3 hosts + 3 scenarios
 // × set sizes) through the experiment harness. Comparing Seq vs Parallel
 // on a multicore host shows the wall-time win of the worker pool;
-// comparing either against NoCache shows the artifact cache's win (the
-// three host reference runs amortize). Virtual-time results are identical
+// comparing either against NoCache, which starts every iteration on a
+// fresh artifact cache, shows the process-wide cache's win (the three
+// host reference runs amortize). Virtual-time results are identical
 // across all of them.
 func benchFig7Grid(b *testing.B, cfg experiments.Config) {
 	for i := 0; i < b.N; i++ {
@@ -189,15 +191,16 @@ func withParallel(cfg experiments.Config, workers int) experiments.Config {
 	return cfg
 }
 
-func withNoCache(cfg experiments.Config) experiments.Config {
-	cfg.NoCache = true
-	return cfg
-}
-
 func BenchmarkFig7GridSeq(b *testing.B)      { benchFig7Grid(b, withParallel(benchCfg, 1)) }
 func BenchmarkFig7GridParallel(b *testing.B) { benchFig7Grid(b, withParallel(benchCfg, 0)) }
 func BenchmarkFig7GridNoCache(b *testing.B) {
-	benchFig7Grid(b, withNoCache(withParallel(benchCfg, 1)))
+	cfg := withParallel(benchCfg, 1)
+	for i := 0; i < b.N; i++ {
+		cfg.Artifacts = marvel.NewArtifactCache()
+		if _, err := experiments.Fig7(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- multi-point sweep: artifact cache on vs off ---------------------------
@@ -209,7 +212,8 @@ func BenchmarkFig7GridNoCache(b *testing.B) {
 // sweep. Cached, each (workload, host) reference — and the image set and
 // model set under it — is computed once and shared across the RunIndexed
 // workers and across sweeps (the process-lifetime behavior paperbench
-// gets by default); NoCache recomputes them at every point. One warm-up
+// gets by default); NoCache gives every point a fresh cache, so each
+// recomputes them. One warm-up
 // sweep runs before the timer in both variants, so Cached measures the
 // steady state. Outputs are byte-identical either way
 // (TestPortedCacheOnOffIdentical).
@@ -229,7 +233,7 @@ func benchSweepGrid(b *testing.B, nocache bool) {
 	}
 	arts := marvel.NewArtifactCache()
 	sweep := func() error {
-		_, err := experiments.RunIndexed(0, len(grid), func(j int) (*marvel.PortedResult, error) {
+		_, err := parallel.RunIndexed(0, len(grid), func(j int) (*marvel.PortedResult, error) {
 			g := grid[j]
 			pc := marvel.PortedConfig{
 				Workload:      benchWorkload(g.n),
@@ -237,11 +241,10 @@ func benchSweepGrid(b *testing.B, nocache bool) {
 				Variant:       g.v,
 				Validate:      true,
 				MachineConfig: benchMachine(),
+				Artifacts:     arts,
 			}
 			if nocache {
-				pc.NoCache = true
-			} else {
-				pc.Artifacts = arts
+				pc.Artifacts = marvel.NewArtifactCache()
 			}
 			return marvel.RunPorted(pc)
 		})
@@ -401,11 +404,11 @@ func BenchmarkServeFullSim(b *testing.B) {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		widths = append(widths, n)
 	}
-	for _, shards := range widths {
+	for _, workers := range widths {
 		cfg := benchServeConfig()
 		cfg.Cal = cal
-		cfg.Shards = shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+		cfg.Parallel = workers
+		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
 			var rep *serve.Report
 			for i := 0; i < b.N; i++ {
 				if rep, err = serve.Run(cfg); err != nil {

@@ -29,13 +29,11 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"deadline with wrong exp", []string{"-exp", "profile", "-deadline", "100"}, 2, "-deadline only applies"},
 		{"servesed with wrong exp", []string{"-exp", "hosts", "-servesed", "9"}, 2, "-servesed only applies"},
 		{"burst with wrong exp", []string{"-exp", "overhead", "-burst", "3"}, 2, "-burst only applies"},
-		{"shards with wrong exp", []string{"-exp", "fig7", "-shards", "4"}, 2, "-shards only applies"},
 		{"fullsim with wrong exp", []string{"-exp", "eqns", "-fullsim"}, 2, "-fullsim only applies"},
-		{"negative shards", []string{"-exp", "serve", "-shards", "-1"}, 2, "-shards must be >= 0"},
 		{"watchdog with wrong exp", []string{"-exp", "table1", "-watchdog", "250ms"}, 2, "-watchdog only applies"},
 		{"watchdog bad duration", []string{"-exp", "faults", "-watchdog", "soon"}, 2, "bad -watchdog"},
 		{"watchdog zero", []string{"-exp", "faults", "-watchdog", "0ms"}, 2, "-watchdog must be positive"},
-		{"serve flags with chaos exp", []string{"-exp", "chaos", "-rate", "2", "-blades", "8", "-shards", "4"}, -1, ""},
+		{"serve flags with chaos exp", []string{"-exp", "chaos", "-rate", "2", "-blades", "8"}, -1, ""},
 		{"faults flag with chaos exp", []string{"-exp", "chaos", "-faults", "blade-crash:blade=0,at=5ms"}, -1, ""},
 		{"watchdog with faults exp", []string{"-exp", "faults", "-watchdog", "250ms"}, -1, ""},
 		{"watchdog with chaos exp", []string{"-exp", "chaos", "-watchdog", "1s"}, -1, ""},
@@ -46,14 +44,14 @@ func TestFlagValidationMatrix(t *testing.T) {
 		{"faults flag with faults exp", []string{"-exp", "faults", "-faults", "crash:spe=0,at=5ms"}, -1, ""},
 		{"faults flag with serve exp", []string{"-exp", "serve", "-faultseed", "3"}, -1, ""},
 		{"serve flags with serve exp", []string{"-exp", "serve", "-rate", "2", "-blades", "2", "-deadline", "-1", "-servesed", "9", "-burst", "1"}, -1, ""},
-		{"shard flags with serve exp", []string{"-exp", "serve", "-shards", "8", "-fullsim"}, -1, ""},
+		{"fullsim with serve exp", []string{"-exp", "serve", "-parallel", "8", "-fullsim"}, -1, ""},
 		{"pools with wrong exp", []string{"-exp", "serve", "-pools", "4"}, 2, "-pools only applies"},
 		{"autoscale with wrong exp", []string{"-exp", "chaos", "-autoscale=false"}, 2, "-autoscale only applies"},
 		{"flash with wrong exp", []string{"-exp", "table1", "-flash=false"}, 2, "-flash only applies"},
 		{"zero pools", []string{"-exp", "fleet", "-pools", "0"}, 2, "-pools must be >= 1"},
 		{"negative pools", []string{"-exp", "fleet", "-pools", "-3"}, 2, "-pools must be >= 1"},
 		{"fleet flags with fleet exp", []string{"-exp", "fleet", "-pools", "4", "-autoscale=false", "-flash=false"}, -1, ""},
-		{"serve flags with fleet exp", []string{"-exp", "fleet", "-rate", "1.5", "-blades", "2", "-shards", "8"}, -1, ""},
+		{"serve flags with fleet exp", []string{"-exp", "fleet", "-rate", "1.5", "-blades", "2"}, -1, ""},
 		{"faults flag with fleet exp", []string{"-exp", "fleet", "-faults", "blade-crash:blade=0,at=5ms"}, -1, ""},
 		{"workers with wrong exp", []string{"-exp", "serve", "-workers", "2"}, 2, "-workers only applies"},
 		{"reps with wrong exp", []string{"-exp", "fig7", "-reps", "3"}, 2, "-reps only applies"},
@@ -114,44 +112,46 @@ func TestRunRejectsBeforeExecuting(t *testing.T) {
 }
 
 // TestRunServeQuick smoke-tests the serve experiment end to end through
-// the CLI: valid invocation, JSON sidecar with the expected report
-// fields, zero exit.
+// the CLI with the BENCH_serve.json baseline's arguments: the JSON
+// sidecar carries every report field for both policies, each policy's
+// six-term ledger conserves, and the data section is identical at
+// -parallel 1 and -parallel 8.
 func TestRunServeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	var out, errw bytes.Buffer
-	args := []string{"-quick", "-exp", "serve", "-rate", "2", "-blades", "2", "-servesed", "7", "-json", jsonPath}
-	if status := run(args, &out, &errw); status != 0 {
-		t.Fatalf("status %d, stderr: %s", status, errw.String())
+	args := []string{"-quick", "-exp", "serve", "-blades", "3", "-rate", "2", "-servesed", "7"}
+	out, seq := invokeJSON(t, "seq", append(args, "-parallel", "1")...)
+	if !strings.Contains(out, "Serving layer") {
+		t.Fatalf("table output missing serve render: %s", out)
 	}
-	raw := readFileT(t, jsonPath)
-	var doc struct {
-		Experiments map[string]struct {
-			Data struct {
-				Estimator  map[string]json.RawMessage `json:"estimator"`
-				RoundRobin map[string]json.RawMessage `json:"round_robin"`
-			} `json:"data"`
-		} `json:"experiments"`
+	var data map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(seq["serve"], &data); err != nil {
+		t.Fatalf("serve data did not parse: %v", err)
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("sidecar did not parse: %v", err)
-	}
-	serve, ok := doc.Experiments["serve"]
-	if !ok {
-		t.Fatalf("sidecar missing serve experiment: %s", raw)
-	}
-	for _, rep := range []map[string]json.RawMessage{serve.Data.Estimator, serve.Data.RoundRobin} {
-		for _, field := range []string{"policy", "offered_rps", "achieved_rps", "served", "shed_rejected",
-			"latency_p50_fs", "latency_p95_fs", "latency_p99_fs", "per_blade"} {
+	for _, policy := range []string{"estimator", "round_robin"} {
+		rep, ok := data[policy]
+		if !ok {
+			t.Fatalf("serve data missing %s: %s", policy, seq["serve"])
+		}
+		for _, field := range []string{"policy", "offered_rps", "achieved_rps", "served", "late",
+			"shed_rejected", "shed_expired", "batches", "latency_p50_fs", "latency_p95_fs",
+			"latency_p99_fs", "per_blade"} {
 			if _, ok := rep[field]; !ok {
-				t.Fatalf("serve report missing %q: %s", field, raw)
+				t.Fatalf("%s report missing %q: %s", policy, field, seq["serve"])
 			}
 		}
 	}
-	if !strings.Contains(out.String(), "Serving layer") {
-		t.Fatalf("table output missing serve render: %s", out.String())
+	var ledgers map[string]ledger
+	if err := json.Unmarshal(seq["serve"], &ledgers); err != nil {
+		t.Fatalf("serve data did not parse: %v", err)
+	}
+	ledgers["estimator"].check(t, "estimator")
+	ledgers["round_robin"].check(t, "round_robin")
+
+	_, par := invokeJSON(t, "par", append(args, "-parallel", "8")...)
+	if string(par["serve"]) != string(seq["serve"]) {
+		t.Fatalf("-parallel 8 changed the serve report:\n got %s\nwant %s", par["serve"], seq["serve"])
 	}
 }
 
@@ -201,64 +201,79 @@ func experimentData(t *testing.T, raw []byte) map[string]json.RawMessage {
 	return out
 }
 
-// TestRunFullSimShardsCLI checks the -fullsim/-shards plumbing end to
-// end: verified dispatch at -shards 1 and -shards 8 must produce the
-// same experiment data through the CLI as the unverified run.
-func TestRunFullSimShardsCLI(t *testing.T) {
+// invokeJSON runs paperbench with args plus a -json sidecar in a temp
+// directory, fails the test on a non-zero exit, and returns the table
+// output and each experiment's data section.
+func invokeJSON(t *testing.T, name string, args ...string) (string, map[string]json.RawMessage) {
+	t.Helper()
+	jsonPath := filepath.Join(t.TempDir(), name+".json")
+	var out, errw bytes.Buffer
+	if status := run(append(args, "-json", jsonPath), &out, &errw); status != 0 {
+		t.Fatalf("%s: status %d, stderr: %s", name, status, errw.String())
+	}
+	return out.String(), experimentData(t, readFileT(t, jsonPath))
+}
+
+// ledger is the six-term shed ledger every serve report carries.
+type ledger struct {
+	Requests      int `json:"requests"`
+	Served        int `json:"served"`
+	ShedRejected  int `json:"shed_rejected"`
+	ShedExpired   int `json:"shed_expired"`
+	ShedRerouted  int `json:"shed_rerouted"`
+	ShedExhausted int `json:"shed_exhausted"`
+	ShedGlobal    int `json:"shed_global"`
+}
+
+// check asserts the ledger conserves: every request is served or shed
+// under exactly one reason.
+func (l ledger) check(t *testing.T, name string) {
+	t.Helper()
+	if l.Requests == 0 {
+		t.Fatalf("%s ledger carries no requests", name)
+	}
+	sum := l.Served + l.ShedRejected + l.ShedExpired + l.ShedRerouted + l.ShedExhausted + l.ShedGlobal
+	if sum != l.Requests {
+		t.Fatalf("%s ledger leaks: %+v sums to %d, want %d requests", name, l, sum, l.Requests)
+	}
+}
+
+// TestRunFullSimParallelCLI checks the -fullsim plumbing end to end:
+// verified dispatch, its re-simulations fanned out over -parallel 1 and
+// -parallel 8 workers, must produce the same experiment data through the
+// CLI as the unverified run.
+func TestRunFullSimParallelCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
-	dir := t.TempDir()
-	invoke := func(name string, extra ...string) map[string]json.RawMessage {
-		jsonPath := filepath.Join(dir, name+".json")
-		args := append([]string{"-quick", "-exp", "serve", "-rate", "2", "-blades", "2", "-servesed", "7",
-			"-json", jsonPath}, extra...)
-		var out, errw bytes.Buffer
-		if status := run(args, &out, &errw); status != 0 {
-			t.Fatalf("%s: status %d, stderr: %s", name, status, errw.String())
-		}
-		return experimentData(t, readFileT(t, jsonPath))
-	}
-	plain := invoke("plain")
-	for _, shards := range []string{"1", "8"} {
-		got := invoke("fullsim-shards"+shards, "-fullsim", "-shards", shards)
+	args := []string{"-quick", "-exp", "serve", "-rate", "2", "-blades", "2", "-servesed", "7"}
+	_, plain := invokeJSON(t, "plain", args...)
+	for _, workers := range []string{"1", "8"} {
+		_, got := invokeJSON(t, "fullsim-parallel"+workers, append(args, "-fullsim", "-parallel", workers)...)
 		if string(got["serve"]) != string(plain["serve"]) {
-			t.Fatalf("-fullsim -shards %s diverged from the unverified run:\n got %s\nwant %s",
-				shards, got["serve"], plain["serve"])
+			t.Fatalf("-fullsim -parallel %s diverged from the unverified run:\n got %s\nwant %s",
+				workers, got["serve"], plain["serve"])
 		}
 	}
 }
 
-// TestRunChaosCLI checks the chaos experiment end to end: the seeded
-// blade-lifecycle schedule must fire through the CLI and the chaos
-// run's ledger must conserve.
+// TestRunChaosCLI checks the chaos experiment end to end with a seeded
+// fault plan: the blade-lifecycle schedule must fire through the CLI,
+// both the baseline and the chaos run must conserve their six-term
+// ledgers, and the goodput the chaos run retains lies in (0, 1].
 func TestRunChaosCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
-	dir := t.TempDir()
-	invoke := func(name string, extra ...string) map[string]json.RawMessage {
-		jsonPath := filepath.Join(dir, name+".json")
-		args := append([]string{"-quick", "-exp", "chaos", "-servesed", "7",
-			"-json", jsonPath}, extra...)
-		var out, errw bytes.Buffer
-		if status := run(args, &out, &errw); status != 0 {
-			t.Fatalf("%s: status %d, stderr: %s", name, status, errw.String())
-		}
-		return experimentData(t, readFileT(t, jsonPath))
-	}
-	data := invoke("chaos")
+	_, data := invokeJSON(t, "chaos", "-quick", "-exp", "chaos", "-faultseed", "7", "-servesed", "7")
 	var res struct {
-		Spec  string `json:"spec"`
-		Chaos struct {
-			Requests      int `json:"requests"`
-			Served        int `json:"served"`
-			ShedRejected  int `json:"shed_rejected"`
-			ShedExpired   int `json:"shed_expired"`
-			ShedRerouted  int `json:"shed_rerouted"`
-			ShedExhausted int `json:"shed_exhausted"`
-			BladeCrashes  int `json:"blade_crashes"`
+		Spec     string `json:"spec"`
+		Baseline ledger `json:"baseline"`
+		Chaos    struct {
+			ledger
+			BladeCrashes int `json:"blade_crashes"`
 		} `json:"chaos"`
+		GoodputRatio float64 `json:"goodput_ratio"`
 	}
 	if err := json.Unmarshal(data["chaos"], &res); err != nil {
 		t.Fatalf("chaos data did not parse: %v", err)
@@ -266,63 +281,46 @@ func TestRunChaosCLI(t *testing.T) {
 	if res.Spec == "" || res.Chaos.BladeCrashes == 0 {
 		t.Fatalf("chaos run fired no blade crash: %s", data["chaos"])
 	}
-	sum := res.Chaos.Served + res.Chaos.ShedRejected + res.Chaos.ShedExpired +
-		res.Chaos.ShedRerouted + res.Chaos.ShedExhausted
-	if sum != res.Chaos.Requests {
-		t.Fatalf("chaos ledger leaks: %d != %d requests", sum, res.Chaos.Requests)
+	res.Baseline.check(t, "baseline")
+	res.Chaos.check(t, "chaos")
+	if !(res.GoodputRatio > 0 && res.GoodputRatio <= 1) {
+		t.Fatalf("goodput ratio %v outside (0, 1]", res.GoodputRatio)
 	}
 }
 
-// TestRunFleetCLI checks the fleet experiment end to end: through the
-// CLI, the routed, autoscaled fleet under flash-crowd load must conserve
-// its six-term ledger, and the autoscaler must demonstrably drain
-// off-peak.
+// TestRunFleetCLI checks the fleet experiment end to end with the
+// BENCH_fleet.json baseline's arguments: through the CLI, the routed,
+// autoscaled fleet under flash-crowd load and the single-pool baseline
+// must both conserve their six-term ledgers, the autoscaler must
+// demonstrably drain off-peak, and the fleet must beat the single pool.
 func TestRunFleetCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full serve calibration")
 	}
-	dir := t.TempDir()
-	invoke := func(name string, extra ...string) map[string]json.RawMessage {
-		jsonPath := filepath.Join(dir, name+".json")
-		args := append([]string{"-quick", "-exp", "fleet", "-pools", "4", "-blades", "2",
-			"-rate", "1.5", "-servesed", "7", "-json", jsonPath}, extra...)
-		var out, errw bytes.Buffer
-		if status := run(args, &out, &errw); status != 0 {
-			t.Fatalf("%s: status %d, stderr: %s", name, status, errw.String())
-		}
-		if !strings.Contains(out.String(), "Fleet-scale serving") {
-			t.Fatalf("%s: table output missing fleet render: %s", name, out.String())
-		}
-		return experimentData(t, readFileT(t, jsonPath))
+	out, data := invokeJSON(t, "fleet", "-quick", "-exp", "fleet", "-pools", "4", "-blades", "2",
+		"-rate", "1.5", "-servesed", "7")
+	if !strings.Contains(out, "Fleet-scale serving") {
+		t.Fatalf("table output missing fleet render: %s", out)
 	}
-	data := invoke("fleet")
 	var res struct {
 		Fleet struct {
-			Requests      int `json:"requests"`
-			Served        int `json:"served"`
-			Late          int `json:"late"`
-			ShedRejected  int `json:"shed_rejected"`
-			ShedExpired   int `json:"shed_expired"`
-			ShedRerouted  int `json:"shed_rerouted"`
-			ShedExhausted int `json:"shed_exhausted"`
-			ShedGlobal    int `json:"shed_global"`
-			Stats         struct {
+			ledger
+			Stats struct {
 				Pools      int `json:"pools"`
 				ActiveMin  int `json:"active_min"`
 				ScaleDowns int `json:"scale_downs"`
 			} `json:"fleet"`
 		} `json:"fleet"`
-		GoodputFleet  int `json:"goodput_fleet"`
-		GoodputSingle int `json:"goodput_single"`
+		Single        ledger `json:"single"`
+		GoodputFleet  int    `json:"goodput_fleet"`
+		GoodputSingle int    `json:"goodput_single"`
 	}
 	if err := json.Unmarshal(data["fleet"], &res); err != nil {
 		t.Fatalf("fleet data did not parse: %v", err)
 	}
 	f := res.Fleet
-	sum := f.Served + f.ShedRejected + f.ShedExpired + f.ShedRerouted + f.ShedExhausted + f.ShedGlobal
-	if sum != f.Requests {
-		t.Fatalf("fleet ledger leaks: %d != %d requests", sum, f.Requests)
-	}
+	f.check(t, "fleet")
+	res.Single.check(t, "single")
 	if f.Stats.Pools != 4 {
 		t.Fatalf("fleet ran %d pools, want 4", f.Stats.Pools)
 	}
@@ -335,7 +333,10 @@ func TestRunFleetCLI(t *testing.T) {
 }
 
 // TestRunProfilesWritten checks -cpuprofile/-memprofile produce non-empty
-// pprof artifacts without perturbing the run's exit status.
+// pprof artifacts, and -trace/-metrics well-formed JSON, without
+// perturbing the run's exit status. The trace runs cover the fig7 grid,
+// a seeded fault plan and an explicit one, whose injected faults land in
+// the trace as instants.
 func TestRunProfilesWritten(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full experiment")
@@ -351,6 +352,33 @@ func TestRunProfilesWritten(t *testing.T) {
 	for _, p := range []string{cpu, mem} {
 		if b := readFileT(t, p); len(b) == 0 {
 			t.Fatalf("profile %s is empty", p)
+		}
+	}
+
+	for name, exp := range map[string][]string{
+		"fig7":          {"-exp", "fig7"},
+		"faults-seeded": {"-exp", "faults", "-faultseed", "7"},
+		"faults-plan":   {"-exp", "faults", "-faults", "crash:spe=0,at=50ms;dma-drop:spe=1,n=3;mbox-stall:spe=2,n=1,delay=500us"},
+	} {
+		tracePath := filepath.Join(dir, name+"-trace.json")
+		metricsPath := filepath.Join(dir, name+"-metrics.json")
+		args := append([]string{"-quick", "-trace", tracePath, "-metrics", metricsPath}, exp...)
+		var out, errw bytes.Buffer
+		if status := run(args, &out, &errw); status != 0 {
+			t.Fatalf("%s: status %d, stderr: %s", name, status, errw.String())
+		}
+		var trace struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(readFileT(t, tracePath), &trace); err != nil {
+			t.Fatalf("%s: trace is not JSON: %v", name, err)
+		}
+		if len(trace.TraceEvents) == 0 {
+			t.Fatalf("%s: trace has no events", name)
+		}
+		var metrics any
+		if err := json.Unmarshal(readFileT(t, metricsPath), &metrics); err != nil {
+			t.Fatalf("%s: metrics are not JSON: %v", name, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"cellport/internal/fault"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/sim"
 )
 
@@ -64,7 +65,7 @@ func FaultsExp(cfg Config) (*FaultsResult, error) {
 		pc.Watchdog = cfg.Watchdog
 		return cfg.runPorted(label, pc)
 	}
-	runs, err := RunIndexed(cfg.workers(), 3, func(i int) (*marvel.PortedResult, error) {
+	runs, err := parallel.RunIndexed(cfg.Parallel, 3, func(i int) (*marvel.PortedResult, error) {
 		switch i {
 		case 0:
 			return runOne("faults/baseline", nil) // fault-free baseline

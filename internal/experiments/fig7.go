@@ -7,6 +7,7 @@ import (
 
 	"cellport/internal/cost"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/sim"
 )
 
@@ -66,7 +67,7 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 	// both fan out over the worker pool; results are keyed by index, which
 	// keeps the assembled figure identical to the sequential path.
 	hosts := []func() *cost.Model{cost.NewPPE, cost.NewDesktop, cost.NewLaptop}
-	refs, err := RunIndexed(cfg.workers(), len(hosts), func(i int) (*marvel.ReferenceResult, error) {
+	refs, err := parallel.RunIndexed(cfg.Parallel, len(hosts), func(i int) (*marvel.ReferenceResult, error) {
 		return cfg.artifacts().Reference(hosts[i](), w1)
 	})
 	if err != nil {
@@ -91,7 +92,7 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 			grid = append(grid, gridPoint{scen, n})
 		}
 	}
-	runs, err := RunIndexed(cfg.workers(), len(grid), func(i int) (*marvel.PortedResult, error) {
+	runs, err := parallel.RunIndexed(cfg.Parallel, len(grid), func(i int) (*marvel.PortedResult, error) {
 		g := grid[i]
 		label := fmt.Sprintf("fig7/%s/n=%d", g.scen, g.n)
 		ported, err := cfg.runPorted(label, cfg.ported(cfg.Workload(g.n), g.scen, marvel.Optimized))

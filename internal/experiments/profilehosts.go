@@ -6,6 +6,7 @@ import (
 
 	"cellport/internal/cost"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/profile"
 	"cellport/internal/sim"
 )
@@ -37,7 +38,7 @@ func ProfileExp(cfg Config) (*ProfileResult, error) {
 		setSize = 8
 	}
 	sizes := []int{1, setSize}
-	refs, err := RunIndexed(cfg.workers(), len(sizes), func(i int) (*marvel.ReferenceResult, error) {
+	refs, err := parallel.RunIndexed(cfg.Parallel, len(sizes), func(i int) (*marvel.ReferenceResult, error) {
 		return cfg.artifacts().Reference(cost.NewPPE(), cfg.Workload(sizes[i]))
 	})
 	if err != nil {
@@ -100,7 +101,7 @@ type HostsResult struct {
 func HostsExp(cfg Config) (*HostsResult, error) {
 	w := cfg.Workload(1)
 	hosts := []func() *cost.Model{cost.NewPPE, cost.NewDesktop, cost.NewLaptop}
-	refs, err := RunIndexed(cfg.workers(), len(hosts), func(i int) (*marvel.ReferenceResult, error) {
+	refs, err := parallel.RunIndexed(cfg.Parallel, len(hosts), func(i int) (*marvel.ReferenceResult, error) {
 		return cfg.artifacts().Reference(hosts[i](), w)
 	})
 	if err != nil {

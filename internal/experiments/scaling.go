@@ -6,6 +6,7 @@ import (
 
 	"cellport/internal/cost"
 	"cellport/internal/marvel"
+	"cellport/internal/parallel"
 	"cellport/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func Scaling(cfg Config) ([]ScalingRow, error) {
 	w := cfg.Workload(1)
 	kernels := []marvel.KernelID{marvel.KCC, marvel.KEH, marvel.KCH, marvel.KTX}
 	counts := []int{1, 2, 4, 8}
-	rows, err := RunIndexed(cfg.workers(), len(kernels)*len(counts), func(i int) (ScalingRow, error) {
+	rows, err := parallel.RunIndexed(cfg.Parallel, len(kernels)*len(counts), func(i int) (ScalingRow, error) {
 		id, n := kernels[i/len(counts)], counts[i%len(counts)]
 		res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, MachineConfig())
 		if err != nil {
@@ -88,7 +89,7 @@ func Pipeline(cfg Config) ([]PipelineRow, error) {
 	w := cfg.Workload(n)
 	scens := []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE2, marvel.Pipelined}
 	// Job 0 is the PPE reference; jobs 1..3 the ported schedules.
-	results, err := RunIndexed(cfg.workers(), 1+len(scens), func(i int) (any, error) {
+	results, err := parallel.RunIndexed(cfg.Parallel, 1+len(scens), func(i int) (any, error) {
 		if i == 0 {
 			return cfg.artifacts().Reference(cost.NewPPE(), w)
 		}

@@ -62,8 +62,7 @@ func (c Config) serveBase() (serve.Config, error) {
 		Variant:       marvel.Optimized,
 		MachineConfig: MachineConfig(),
 		Watchdog:      c.Watchdog,
-		Parallel:      c.workers(),
-		Shards:        c.Shards,
+		Parallel:      c.Parallel,
 		FullFidelity:  c.FullSim,
 		Instrument:    c.Collect != nil,
 	}
@@ -79,11 +78,8 @@ func (c Config) serveBase() (serve.Config, error) {
 		base.Deadline = -1
 	}
 	// The serving layer threads its cache straight into every calibration
-	// simulation; the cold path gets a private cache per invocation
-	// instead of the process-wide one.
-	if base.Artifacts = c.artifacts(); base.Artifacts == nil {
-		base.Artifacts = marvel.NewArtifactCache()
-	}
+	// simulation.
+	base.Artifacts = c.artifacts()
 	if c.FaultSpec != "" {
 		plan, err := fault.Parse(c.FaultSpec)
 		if err != nil {

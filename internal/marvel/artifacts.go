@@ -11,7 +11,7 @@ import (
 // synthetic model library (train + encode + float32-rounded decode), and
 // the sequential reference run. A Fig7-style grid of spes × scenarios ×
 // variants computes each artifact exactly once; concurrent sweep workers
-// (experiments.RunIndexed) share one in-flight computation per key via
+// (parallel.RunIndexed) share one in-flight computation per key via
 // the workcache singleflight.
 //
 // All returned values are shared across callers and goroutines and MUST
@@ -21,8 +21,8 @@ import (
 // simulated memory), and reference results are only compared against.
 //
 // A nil *ArtifactCache is valid and means "no caching": every accessor
-// falls back to computing a private artifact, which is the isolation path
-// for calibration runs and cache-sensitivity tests.
+// falls back to computing a private artifact (the execution backend's
+// default when it is given no cache).
 type ArtifactCache struct {
 	images workcache.Cache[Workload, []*img.RGB]
 	models workcache.Cache[uint64, *ModelSet]
@@ -37,8 +37,8 @@ type refKey struct {
 	W    Workload
 }
 
-// sharedArtifacts is the process-wide cache used when a config neither
-// disables caching nor supplies its own instance.
+// sharedArtifacts is the process-wide cache used when a config supplies
+// no instance of its own.
 var sharedArtifacts ArtifactCache
 
 // SharedArtifacts returns the process-wide artifact cache. Repeated

@@ -153,10 +153,10 @@ func TestStartPortedRejectsEmptyWorkload(t *testing.T) {
 	}
 }
 
-// TestPortedCacheOnOffIdentical asserts the acceptance criterion: a run
-// through the shared-artifact path and a cold NoCache run produce
-// byte-identical feature outputs, identical virtual times, and the same
-// EventCount replay fingerprint.
+// TestPortedCacheOnOffIdentical asserts the acceptance criterion: runs
+// sharing one artifact cache (the second one hitting it) and a cold run
+// on a fresh private cache produce byte-identical feature outputs,
+// identical virtual times, and the same EventCount replay fingerprint.
 func TestPortedCacheOnOffIdentical(t *testing.T) {
 	for _, scen := range []Scenario{SingleSPE, MultiSPE2, Pipelined} {
 		base := PortedConfig{
@@ -169,7 +169,7 @@ func TestPortedCacheOnOffIdentical(t *testing.T) {
 		warm := base
 		warm.Artifacts = NewArtifactCache()
 		cold := base
-		cold.NoCache = true
+		cold.Artifacts = NewArtifactCache()
 
 		a, err := RunPorted(warm)
 		if err != nil {
@@ -182,7 +182,7 @@ func TestPortedCacheOnOffIdentical(t *testing.T) {
 		}
 		b, err := RunPorted(cold)
 		if err != nil {
-			t.Fatalf("%v nocache: %v", scen, err)
+			t.Fatalf("%v cold: %v", scen, err)
 		}
 		for _, got := range []*PortedResult{a2, b} {
 			if got.Total != a.Total || got.OneTime != a.OneTime || got.PerImage != a.PerImage {

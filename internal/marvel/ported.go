@@ -70,11 +70,8 @@ type PortedConfig struct {
 	MachineConfig *cell.Config
 	// Artifacts selects the cache used for the image set, model set, and
 	// (when Validate is set) the reference run. Nil means the process-wide
-	// SharedArtifacts cache, unless NoCache is set.
+	// SharedArtifacts cache; a fresh NewArtifactCache gives a cold run.
 	Artifacts *ArtifactCache
-	// NoCache forces cold-path behaviour: every artifact is recomputed
-	// privately for this run. Ignored when Artifacts is non-nil.
-	NoCache bool
 	// Faults, when non-empty, arms deterministic fault injection and the
 	// self-healing supervision loop. A nil or empty plan leaves every
 	// fault hook uninstalled: the run is byte-identical to one without
@@ -97,14 +94,10 @@ type PortedConfig struct {
 var ErrEmptyWorkload = errors.New("marvel: workload has no images")
 
 // artifacts resolves the cache a run should use: an explicit instance
-// wins, NoCache yields nil (the compute-privately path), and the default
-// is the process-wide shared cache.
+// wins, and the default is the process-wide shared cache.
 func (cfg *PortedConfig) artifacts() *ArtifactCache {
 	if cfg.Artifacts != nil {
 		return cfg.Artifacts
-	}
-	if cfg.NoCache {
-		return nil
 	}
 	return SharedArtifacts()
 }

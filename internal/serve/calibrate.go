@@ -41,13 +41,6 @@ func (s Scheme) scenario() marvel.Scenario {
 	return marvel.Pipelined
 }
 
-// svcKey identifies one measured dispatch configuration.
-type svcKey struct {
-	Scheme Scheme
-	Tall   bool
-	K      int
-}
-
 // svc is one measured dispatch: the steady-state service time of a
 // k-image batch, the one-time warm-up (model load) charged on a blade's
 // first dispatch, and whether the run's supervision loop had to degrade
@@ -82,34 +75,63 @@ type geomCal struct {
 // state one serve run (or a pair of runs comparing policies) needs. It is
 // a pure function of the serve configuration's workload-shaping fields,
 // so two runs sharing a Calibration see identical virtual-time behaviour
-// to runs that each calibrated privately.
+// to runs that each calibrated privately. It is immutable once Calibrate
+// returns, so concurrent runs may share it.
 type Calibration struct {
 	maxBatch int
-	services map[svcKey]svc
-	geoms    map[bool]*geomCal
+	// svcs is the measured dispatch table by scheme, geometry (geomIdx)
+	// and batch size k (index k; index 0 unused). An uncalibrated
+	// geometry's rows are nil; Config.Validate rejects a run that could
+	// read one, or a batch size past maxBatch.
+	svcs [numSchemes][2][]svc
+	// geoms is the estimator fit by geometry; nil when not calibrated.
+	geoms [2]*geomCal
+
+	// The values below are derived from svcs and geoms once (derive), so
+	// the admission and dispatch hot paths only index arrays.
+	conclusive bool
+	// est1 is the per-request service estimate by geometry (estOne).
+	est1 [2]sim.Duration
+	// coldWarmup is the warmup a cold blade's placement score pays.
+	coldWarmup sim.Duration
+	// pick is the estimator's scheme choice by geometry and batch size
+	// (estBest); ok false means the estimate could not separate them.
+	pick [2][]schemePick
 	// perBlade is the estimated per-blade capacity in requests per
 	// virtual second at full batch size under the best measured scheme.
 	perBlade float64
 }
 
+type schemePick struct {
+	scheme Scheme
+	ok     bool
+}
+
+// geomIdx maps a frame geometry onto the tables' index.
+func geomIdx(tall bool) int {
+	if tall {
+		return 1
+	}
+	return 0
+}
+
 // Conclusive reports whether every calibrated geometry produced a usable
 // Eq. 3 estimate.
-func (c *Calibration) Conclusive() bool {
-	for _, g := range c.geoms {
-		if !g.Conclusive {
-			return false
-		}
-	}
-	return len(c.geoms) > 0
-}
+func (c *Calibration) Conclusive() bool { return c.conclusive }
 
 // PerBladeCapacity returns the estimated per-blade throughput ceiling
 // (requests per virtual second, standard geometry, full batches).
 func (c *Calibration) PerBladeCapacity() float64 { return c.perBlade }
 
-// service returns the measured dispatch record for a key; the key set is
-// total over (scheme, seen geometry, 1..maxBatch) by construction.
-func (c *Calibration) service(k svcKey) svc { return c.services[k] }
+// service returns the measured dispatch record for a point, or the zero
+// svc when the point was not calibrated.
+func (c *Calibration) service(s Scheme, tall bool, k int) svc {
+	row := c.svcs[s][geomIdx(tall)]
+	if k < 1 || k >= len(row) {
+		return svc{}
+	}
+	return row[k]
+}
 
 // MaxBatch reports the largest batch size the table was measured at.
 func (c *Calibration) MaxBatch() int { return c.maxBatch }
@@ -121,7 +143,7 @@ func (c *Calibration) MaxBatch() int { return c.maxBatch }
 // compares these virtual-time predictions against real executions of
 // the same points.
 func (c *Calibration) MeasuredService(s Scheme, tall bool, k int) sim.Duration {
-	return c.services[svcKey{Scheme: s, Tall: tall, K: k}].Service
+	return c.service(s, tall, k).Service
 }
 
 // EstimatedService returns the Eqs. 1-3 estimate for the same point
@@ -136,7 +158,7 @@ func (c *Calibration) EstimatedService(s Scheme, tall bool, k int) sim.Duration 
 // image i+1 with SPE work on image i, so only the first image pays both
 // serially.
 func (c *Calibration) estService(s Scheme, tall bool, k int) sim.Duration {
-	g := c.geoms[tall]
+	g := c.geoms[geomIdx(tall)]
 	if g == nil || !g.Conclusive {
 		return 0
 	}
@@ -174,64 +196,36 @@ func (c *Calibration) estBest(tall bool, k int) (Scheme, sim.Duration, bool) {
 	return best, min, true
 }
 
-// flatCal is one run's map-free view of its Calibration: every value the
-// admission and dispatch hot paths read, indexed by geometry (geomIdx)
-// and batch size instead of hashed. A Calibration is immutable during a
-// run, so newPool computes the view once; it stays per-pool rather than
-// cached on the Calibration, which callers may share or rebuild.
-type flatCal struct {
-	conclusive bool
-	// est1 is the per-request service estimate by geometry (estOne).
-	est1 [2]sim.Duration
-	// coldWarmup is the warmup a cold blade's placement score pays.
-	coldWarmup sim.Duration
-	// svcs is the measured dispatch table by scheme, geometry and batch
-	// size k (index k; index 0 unused).
-	svcs [numSchemes][2][]svc
-	// pick is the estimator's scheme choice by geometry and batch size
-	// (estBest); ok false means the estimate could not separate them.
-	pick [2][]schemePick
-}
-
-type schemePick struct {
-	scheme Scheme
-	ok     bool
-}
-
-// geomIdx maps a frame geometry onto the flat tables' index.
-func geomIdx(tall bool) int {
-	if tall {
-		return 1
-	}
-	return 0
-}
-
-// flatten builds the run's flat view for batches of up to maxBatch.
-// Points the table lacks read as the zero svc, exactly as the map does.
-func (c *Calibration) flatten(maxBatch int) flatCal {
-	f := flatCal{
-		conclusive: c.Conclusive(),
-		coldWarmup: c.service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup,
-	}
-	for _, tall := range []bool{false, true} {
-		g := geomIdx(tall)
-		f.est1[g] = c.estService(SchemeJob, tall, 1)
-		if f.est1[g] <= 0 {
-			f.est1[g] = c.service(svcKey{Scheme: SchemeJob, Tall: tall, K: 1}).Service
+// derive fills the values the hot paths read from the measured table
+// and the estimator fits; Calibrate calls it once on the new table.
+func (c *Calibration) derive() {
+	c.conclusive = c.geoms[0] != nil || c.geoms[1] != nil
+	for _, g := range c.geoms {
+		if g != nil && !g.Conclusive {
+			c.conclusive = false
 		}
-		for s := Scheme(0); s < numSchemes; s++ {
-			f.svcs[s][g] = make([]svc, maxBatch+1)
-			for k := 1; k <= maxBatch; k++ {
-				f.svcs[s][g][k] = c.service(svcKey{Scheme: s, Tall: tall, K: k})
-			}
+	}
+	c.coldWarmup = c.service(SchemeJob, false, 1).Warmup
+	for g, tall := range []bool{false, true} {
+		c.est1[g] = c.estService(SchemeJob, tall, 1)
+		if c.est1[g] <= 0 {
+			c.est1[g] = c.service(SchemeJob, tall, 1).Service
 		}
-		f.pick[g] = make([]schemePick, maxBatch+1)
-		for k := 1; k <= maxBatch; k++ {
+		c.pick[g] = make([]schemePick, c.maxBatch+1)
+		for k := 1; k <= c.maxBatch; k++ {
 			s, _, ok := c.estBest(tall, k)
-			f.pick[g][k] = schemePick{scheme: s, ok: ok}
+			c.pick[g][k] = schemePick{scheme: s, ok: ok}
 		}
 	}
-	return f
+	// Estimated per-blade capacity: full batches under the best measured
+	// scheme at standard geometry.
+	best := c.service(SchemeJob, false, c.maxBatch).Service
+	if d := c.service(SchemeData, false, c.maxBatch).Service; d < best {
+		best = d
+	}
+	if best > 0 {
+		c.perBlade = float64(c.maxBatch) / best.Seconds()
+	}
 }
 
 // detOpsShare apportions the detection kernel's time across the four
@@ -259,10 +253,11 @@ func Calibrate(cfg Config) (*Calibration, error) {
 		geoms = append(geoms, true)
 	}
 
-	cal := &Calibration{
-		maxBatch: cfg.MaxBatch,
-		services: map[svcKey]svc{},
-		geoms:    map[bool]*geomCal{},
+	cal := &Calibration{maxBatch: cfg.MaxBatch}
+	for _, tall := range geoms {
+		for s := range cal.svcs {
+			cal.svcs[s][geomIdx(tall)] = make([]svc, cfg.MaxBatch+1)
+		}
 	}
 
 	// One flat job grid: per geometry a reference run and a single-SPE
@@ -304,14 +299,14 @@ func Calibrate(cfg Config) (*Calibration, error) {
 		return nil, fmt.Errorf("serve: calibration: %w", err)
 	}
 
-	refs := map[bool]*marvel.ReferenceResult{}
-	singles := map[bool]*marvel.PortedResult{}
+	var refs [2]*marvel.ReferenceResult
+	var singles [2]*marvel.PortedResult
 	for i, j := range jobs {
 		switch j.kind {
 		case 0:
-			refs[j.tall] = outs[i].ref
+			refs[geomIdx(j.tall)] = outs[i].ref
 		case 1:
-			singles[j.tall] = outs[i].ported
+			singles[geomIdx(j.tall)] = outs[i].ported
 		default:
 			p := outs[i].ported
 			s := svc{Service: p.Total - p.OneTime, Warmup: p.OneTime}
@@ -319,22 +314,14 @@ func Calibrate(cfg Config) (*Calibration, error) {
 				s.Degraded = rep.Retries > 0 || rep.Redispatches > 0 || rep.Fallbacks > 0
 				s.DegTime = rep.DegradedTime
 			}
-			cal.services[svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k}] = s
+			cal.svcs[j.scheme][geomIdx(j.tall)][j.k] = s
 		}
 	}
 	for _, tall := range geoms {
-		cal.geoms[tall] = fitEstimator(refs[tall], singles[tall])
+		g := geomIdx(tall)
+		cal.geoms[g] = fitEstimator(refs[g], singles[g])
 	}
-
-	// Estimated per-blade capacity: full batches under the best measured
-	// scheme at standard geometry.
-	best := cal.services[svcKey{Scheme: SchemeJob, Tall: false, K: cfg.MaxBatch}].Service
-	if d := cal.services[svcKey{Scheme: SchemeData, Tall: false, K: cfg.MaxBatch}].Service; d < best {
-		best = d
-	}
-	if best > 0 {
-		cal.perBlade = float64(cfg.MaxBatch) / best.Seconds()
-	}
+	cal.derive()
 	return cal, nil
 }
 

@@ -16,7 +16,7 @@ import (
 // load signals, driving drains through the blade lifecycle machinery.
 //
 // Routing, scaling and the ring run inside the one serve event loop, so
-// fleet runs stay byte-identical across -shards and -parallel.
+// fleet runs stay byte-identical across -parallel.
 
 // poolShard is one pool of the fleet: a contiguous pool-major slice of
 // the run's blades plus the pool-local admission rotation.

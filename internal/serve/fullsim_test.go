@@ -3,8 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,12 +21,12 @@ func TestFullFidelityByteIdentical(t *testing.T) {
 	base.Requests = 24 // every dispatch costs a nested machine simulation
 	golden := marshal(t, mustRun(t, base))
 
-	for _, shards := range []int{1, 4} {
+	for _, workers := range []int{1, 4} {
 		ff := base
 		ff.FullFidelity = true
-		ff.Shards = shards
+		ff.Parallel = workers
 		if got := marshal(t, mustRun(t, ff)); !bytes.Equal(got, golden) {
-			t.Fatalf("full-fidelity at shards=%d diverged:\n got %s\nwant %s", shards, got, golden)
+			t.Fatalf("full-fidelity at parallel=%d diverged:\n got %s\nwant %s", workers, got, golden)
 		}
 	}
 }
@@ -87,9 +87,14 @@ func TestFullFidelityCatchesStaleCalibration(t *testing.T) {
 	// expected error — the lowest affected blade's first diverging
 	// dispatch — differs from the earliest divergence in time. DegTime
 	// only feeds verification, so the loop replays unchanged.
-	keyOf := func(j verifyJob) svcKey { return svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k} }
-	earliest := map[svcKey]verifyJob{}
-	lowest := map[svcKey]verifyJob{}
+	type point struct {
+		scheme Scheme
+		tall   bool
+		k      int
+	}
+	keyOf := func(j verifyJob) point { return point{j.scheme, j.tall, j.k} }
+	earliest := map[point]verifyJob{}
+	lowest := map[point]verifyJob{}
 	for _, j := range jobs {
 		k := keyOf(j)
 		if _, ok := earliest[k]; !ok {
@@ -111,26 +116,21 @@ func TestFullFidelityCatchesStaleCalibration(t *testing.T) {
 		t.Fatal("no calibration entry is used first by a higher blade; the scenario cannot tell the orders apart")
 	}
 	key := keyOf(first)
-	poisoned := &Calibration{
-		maxBatch: cal.maxBatch,
-		services: maps.Clone(cal.services),
-		geoms:    cal.geoms,
-		perBlade: cal.perBlade,
-	}
-	v := poisoned.services[key]
-	v.DegTime++
-	poisoned.services[key] = v
+	poisoned := *cal
+	row := slices.Clone(poisoned.svcs[key.scheme][geomIdx(key.tall)])
+	row[key.k].DegTime++
+	poisoned.svcs[key.scheme][geomIdx(key.tall)] = row
 
 	want := fmt.Sprintf("serve: blade %d: full-fidelity dispatch #%d %s/tall=%v/k=%d diverged from calibration",
-		first.blade, first.seq, key.Scheme, key.Tall, key.K)
+		first.blade, first.seq, key.scheme, key.tall, key.k)
 	var msg string
-	for _, shards := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		run := cfg
-		run.Cal = poisoned
-		run.Shards = shards
+		run.Cal = &poisoned
+		run.Parallel = workers
 		_, err := Run(run)
 		if err == nil {
-			t.Fatalf("shards=%d: poisoned calibration served without a full-fidelity error", shards)
+			t.Fatalf("parallel=%d: poisoned calibration served without a full-fidelity error", workers)
 		}
 		if msg == "" {
 			msg = err.Error()
@@ -138,7 +138,7 @@ func TestFullFidelityCatchesStaleCalibration(t *testing.T) {
 				t.Fatalf("error names the wrong dispatch:\n got %s\nwant prefix %s", msg, want)
 			}
 		} else if err.Error() != msg {
-			t.Fatalf("shards=%d: error differs:\n got %v\nwant %s", shards, err, msg)
+			t.Fatalf("parallel=%d: error differs:\n got %v\nwant %s", workers, err, msg)
 		}
 	}
 }

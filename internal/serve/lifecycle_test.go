@@ -164,7 +164,7 @@ func TestBladeRestartRecharge(t *testing.T) {
 	if rep.BladeRestarts != 1 {
 		t.Fatalf("restarts fired %d, want 1", rep.BladeRestarts)
 	}
-	w := mustCal(t).service(svcKey{Scheme: SchemeJob, Tall: false, K: 1}).Warmup
+	w := mustCal(t).service(SchemeJob, false, 1).Warmup
 	bs := rep.PerBlade[1]
 	if bs.Restarts != 1 {
 		t.Fatalf("blade 1 restarts %d, want 1", bs.Restarts)

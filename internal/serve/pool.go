@@ -91,7 +91,6 @@ func (b *blade) instant(at sim.Time, label string) {
 type pool struct {
 	cfg      Config
 	cal      *Calibration
-	fc       flatCal // cal flattened for the hot paths (no map access)
 	deadline sim.Duration
 	blades   []*blade
 	rr       int
@@ -147,7 +146,6 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 	p := &pool{
 		cfg:      cfg,
 		cal:      cal,
-		fc:       cal.flatten(cfg.MaxBatch),
 		deadline: deadline,
 		ordBuf:   make([]*blade, total),
 		scoreBuf: make([]sim.Duration, total),
@@ -247,8 +245,8 @@ func (p *pool) earliestBusy() *blade {
 // dispatch), used to score queue backlogs and deadline feasibility. When
 // the Eq. 3 estimate is inconclusive it falls back to the measured
 // single-request service, which the calibration table always has. It
-// depends only on the geometry, so it is a flat-table read (flatten).
-func (p *pool) estOne(r Request) sim.Duration { return p.fc.est1[geomIdx(r.Tall)] }
+// depends only on the geometry, so it is a table read (derive).
+func (p *pool) estOne(r Request) sim.Duration { return p.cal.est1[geomIdx(r.Tall)] }
 
 // bladeScore is the estimator's finish frontier for one blade: the
 // remaining in-flight work, plus warmup for a cold or restarted blade,
@@ -261,7 +259,7 @@ func (p *pool) bladeScore(b *blade) sim.Duration {
 		s += b.done.Sub(p.now)
 	}
 	if !b.warm {
-		s += p.fc.coldWarmup
+		s += p.cal.coldWarmup
 	}
 	return s
 }
@@ -295,7 +293,7 @@ func (p *pool) placeOrderIn(r Request, blades []*blade, rr *int) []*blade {
 		*rr = (*rr + 1) % n
 		return out
 	}
-	if p.cfg.Policy == PolicyRoundRobin || !p.fc.conclusive {
+	if p.cfg.Policy == PolicyRoundRobin || !p.cal.conclusive {
 		return rot()
 	}
 	scores := p.scoreBuf[:n]
@@ -422,18 +420,18 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 	b.queue = rest
 	g := geomIdx(tall)
 	// Every batch member shares the head's geometry, hence its estimate.
-	b.backlog -= sim.Duration(len(batch)) * p.fc.est1[g]
+	b.backlog -= sim.Duration(len(batch)) * p.cal.est1[g]
 
 	scheme := SchemeJob
-	if p.cfg.Policy == PolicyEstimator && p.fc.conclusive {
-		if pick := p.fc.pick[g][len(batch)]; pick.ok {
+	if p.cfg.Policy == PolicyEstimator && p.cal.conclusive {
+		if pick := p.cal.pick[g][len(batch)]; pick.ok {
 			scheme = pick.scheme
 		} else {
 			b.schemeFallbacks++ // estimate can't separate the schemes: job-distribution default
 		}
 	}
 
-	s := p.fc.svcs[scheme][g][len(batch)]
+	s := p.cal.svcs[scheme][g][len(batch)]
 	start := now
 	if !b.warm {
 		// A restarted blade comes back cold, so warmup can recur;
@@ -479,7 +477,7 @@ type verifyJob struct {
 }
 
 // verifyDispatches re-runs the full machine simulation behind every
-// recorded dispatch on up to cfg.Shards workers and cross-checks each
+// recorded dispatch on up to cfg.Parallel workers and cross-checks each
 // against the calibration table entry the event loop charged. The nested
 // runs are pure functions of their configs, so any divergence means the
 // table no longer describes the machine. Jobs are ordered by (blade,
@@ -489,7 +487,7 @@ type verifyJob struct {
 func (p *pool) verifyDispatches() error {
 	jobs := p.verify
 	slices.SortStableFunc(jobs, func(a, b verifyJob) int { return cmp.Compare(a.blade, b.blade) })
-	_, err := parallel.RunIndexed(p.cfg.Shards, len(jobs), func(i int) (struct{}, error) {
+	_, err := parallel.RunIndexed(p.cfg.Parallel, len(jobs), func(i int) (struct{}, error) {
 		j := jobs[i]
 		res, err := marvel.RunPorted(p.cfg.portedConfig(j.scheme.scenario(), j.tall, j.k, true))
 		if err != nil {
@@ -501,7 +499,7 @@ func (p *pool) verifyDispatches() error {
 			got.Degraded = rep.Retries > 0 || rep.Redispatches > 0 || rep.Fallbacks > 0
 			got.DegTime = rep.DegradedTime
 		}
-		if want := p.cal.service(svcKey{Scheme: j.scheme, Tall: j.tall, K: j.k}); got != want {
+		if want := p.cal.service(j.scheme, j.tall, j.k); got != want {
 			return struct{}{}, fmt.Errorf("serve: blade %d: full-fidelity dispatch #%d %s/tall=%v/k=%d diverged from calibration: got %+v want %+v",
 				j.blade, j.seq, j.scheme, j.tall, j.k, got, want)
 		}

@@ -129,7 +129,7 @@ func (p *pool) routePool(r Request) *poolShard {
 	if hashed == nil {
 		return nil
 	}
-	if p.cfg.Policy != PolicyEstimator || !p.fc.conclusive {
+	if p.cfg.Policy != PolicyEstimator || !p.cal.conclusive {
 		return hashed
 	}
 	var best *poolShard

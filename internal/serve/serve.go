@@ -120,12 +120,13 @@ type Config struct {
 	// RetryBackoff << (k-1), saturating at 16 doublings (default 100µs,
 	// mirroring the supervision loop's backoff).
 	RetryBackoff sim.Duration
-	// Parallel bounds the worker pool used for calibration simulations;
-	// it never affects results, only wall-clock time.
+	// Parallel bounds the worker pool used for calibration simulations
+	// and for FullFidelity's per-dispatch verification simulations (zero
+	// selects GOMAXPROCS). It never affects results, including which
+	// divergence FullFidelity reports, only wall-clock time.
 	Parallel int
-	// Shards bounds the workers re-running FullFidelity's per-dispatch
-	// verification simulations (zero selects GOMAXPROCS). Like Parallel
-	// it never affects results, including which divergence is reported.
+	// Shards is ignored. It is kept only so existing callers that set it
+	// still compile; Parallel bounds every worker pool.
 	Shards int
 	// FullFidelity re-runs the full machine simulation behind every
 	// dispatch after the event loop and fails the run if any dispatch
@@ -137,7 +138,9 @@ type Config struct {
 	// byte-identical with instrumentation on or off).
 	Instrument bool
 	// Cal, when non-nil, reuses a previously measured calibration (for
-	// policy comparisons over the identical service table).
+	// policy comparisons over the identical service table). It must have
+	// been measured at a MaxBatch at least this config's and, when
+	// TallFrac > 0, with the tall geometry (Validate checks both).
 	Cal *Calibration
 }
 
@@ -251,8 +254,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 	deadline := cfg.Deadline
 	if deadline == 0 {
-		best := cal.service(svcKey{Scheme: SchemeJob, Tall: false, K: cfg.MaxBatch})
-		if d := cal.service(svcKey{Scheme: SchemeData, Tall: false, K: cfg.MaxBatch}); d.Service < best.Service {
+		best := cal.service(SchemeJob, false, cfg.MaxBatch)
+		if d := cal.service(SchemeData, false, cfg.MaxBatch); d.Service < best.Service {
 			best = d
 		}
 		// Early requests land on cold blades and pay the one-time

@@ -233,17 +233,13 @@ func TestEstimatorBeatsRoundRobin(t *testing.T) {
 // of failing.
 func TestServeInconclusiveFallsBack(t *testing.T) {
 	cal := mustCal(t)
-	broken := &Calibration{
-		maxBatch: cal.maxBatch,
-		services: cal.services,
-		geoms:    map[bool]*geomCal{},
-		perBlade: cal.perBlade,
-	}
-	for tall, g := range cal.geoms {
+	broken := &Calibration{maxBatch: cal.maxBatch, svcs: cal.svcs}
+	for i, g := range cal.geoms {
 		gc := *g
 		gc.Conclusive = false
-		broken.geoms[tall] = &gc
+		broken.geoms[i] = &gc
 	}
+	broken.derive()
 
 	cfg := quickConfig()
 	cfg.Cal = broken
@@ -272,7 +268,7 @@ func TestCalibrationTable(t *testing.T) {
 	for s := Scheme(0); s < numSchemes; s++ {
 		for _, tall := range []bool{false, true} {
 			for k := 1; k <= cfg.MaxBatch; k++ {
-				v := cal.service(svcKey{Scheme: s, Tall: tall, K: k})
+				v := cal.service(s, tall, k)
 				if v.Service <= 0 || v.Warmup <= 0 {
 					t.Fatalf("missing table entry %v/%v/k=%d: %+v", s, tall, k, v)
 				}
@@ -288,9 +284,9 @@ func TestCalibrationTable(t *testing.T) {
 	// Larger batches must take longer end to end but amortize better:
 	// service(k)/k non-increasing for data distribution.
 	for _, s := range []Scheme{SchemeJob, SchemeData} {
-		prev := cal.service(svcKey{Scheme: s, Tall: false, K: 1}).Service
+		prev := cal.service(s, false, 1).Service
 		for k := 2; k <= cfg.MaxBatch; k++ {
-			cur := cal.service(svcKey{Scheme: s, Tall: false, K: k}).Service
+			cur := cal.service(s, false, k).Service
 			if cur <= prev {
 				t.Fatalf("%v service not increasing in batch size at k=%d", s, k)
 			}

@@ -82,6 +82,25 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
+	if c.Cal != nil {
+		return c.validateCal()
+	}
+	return nil
+}
+
+// validateCal rejects a preset calibration that does not cover every
+// dispatch the defaulted config can make: a batch size past the table's
+// MaxBatch, or a tall frame when the table lacks the tall geometry.
+func (c Config) validateCal() error {
+	d := c.withDefaults()
+	if c.Cal.maxBatch < d.MaxBatch {
+		return badField("Cal", fmt.Sprintf("MaxBatch %d", c.Cal.maxBatch),
+			fmt.Sprintf("calibration stops below the config's MaxBatch %d", d.MaxBatch))
+	}
+	if d.TallFrac > 0 && c.Cal.geoms[geomIdx(true)] == nil {
+		return badField("Cal", "standard geometry only",
+			fmt.Sprintf("TallFrac %v requests tall frames the calibration never measured", d.TallFrac))
+	}
 	return nil
 }
 

@@ -52,6 +52,11 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 		{"negative low watermark", mod(func(c *Config) { c.Autoscale = &Autoscale{Low: -0.1} }), "Autoscale.Low"},
 		{"inverted watermarks", mod(func(c *Config) { c.Autoscale = &Autoscale{High: 0.2, Low: 0.8} }), "Autoscale.Low"},
 		{"inverted pool bounds", mod(func(c *Config) { c.Autoscale = &Autoscale{MinPools: 4, MaxPools: 2} }), "Autoscale.MinPools"},
+		// quickConfig dispatches batches of up to 3 and 25% tall frames;
+		// the default MaxBatch is 4.
+		{"preset calibration below MaxBatch", mod(func(c *Config) { c.Cal = calAt(t, 1, 0) }), "Cal"},
+		{"preset calibration below default MaxBatch", mod(func(c *Config) { c.MaxBatch = 0; c.Cal = mustCal(t) }), "Cal"},
+		{"preset calibration without tall geometry", mod(func(c *Config) { c.Cal = calAt(t, 3, 0) }), "Cal"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,6 +83,19 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 	}
 }
 
+// calAt calibrates the quick config at another MaxBatch and TallFrac,
+// giving a preset table that may not cover quickConfig itself.
+func calAt(t *testing.T, maxBatch int, tallFrac float64) *Calibration {
+	t.Helper()
+	cfg := quickConfig()
+	cfg.MaxBatch, cfg.TallFrac = maxBatch, tallFrac
+	cal, err := Calibrate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal
+}
+
 // TestValidateAcceptsZeroDefaults pins the convention the rejects lean
 // on: zero means "use the default", so an all-zero Config (and zeroed
 // sub-configs) must validate.
@@ -93,5 +111,13 @@ func TestValidateAcceptsZeroDefaults(t *testing.T) {
 	}
 	if err := fleetConfig(t).Validate(); err != nil {
 		t.Fatalf("the fleet test scenario rejected: %v", err)
+	}
+	// A preset calibration may cover more than the config dispatches: a
+	// larger MaxBatch, or a tall geometry the config never requests.
+	cfg = quickConfig()
+	cfg.Cal = mustCal(t)
+	cfg.MaxBatch, cfg.TallFrac = 2, 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("a covering preset calibration rejected: %v", err)
 	}
 }
