@@ -12,19 +12,20 @@ import (
 )
 
 // Backend runs MARVEL batch points for real on the work-stealing pool,
-// as a marvel.ExecBackend. The task graph mirrors what the simulator
-// charges for, structurally:
+// as a marvel.ExecBackend. The task graph follows the point's
+// marvel.Schedule — the one the simulator runs — structurally:
 //
 //   - each extraction kernel's image traversal follows the simulated
 //     kernel's own slice plan (marvel.ExecPlan — same local-store
 //     budget, halos and granularity), with the slices of one lane
 //     chained as continuations so a lane runs its slices in order;
-//   - job distribution (MultiSPE2) processes the batch one image at a
-//     time, preprocessing serially between images, with the four
-//     extraction→finalize→detection lanes racing in parallel;
-//   - data distribution (Pipelined) double-buffers the pixel block and
-//     preprocesses image i+1 while image i's lanes run — the same
-//     overlap the estimator credits the scheme with;
+//   - lanes launch in the schedule's order, racing when it is Parallel
+//     and one at a time otherwise; Replicated chains each detection
+//     onto its own lane, else the four detections run serially on one
+//     "detect" lane after the extractions;
+//   - an Overlap schedule (data distribution, Pipelined) double-buffers
+//     the pixel block and preprocesses image i+1 while image i's lanes
+//     run — the same overlap the estimator credits the scheme with;
 //   - the accumulators are marvel's own (marvel.NewAccumulator), so
 //     outputs are bit-exact against the host references at any worker
 //     count: parallelism is across lanes and slices of independent
@@ -100,25 +101,6 @@ func (b *Backend) span(lane string, start, end time.Duration, kind trace.Kind, l
 	b.traceMu.Unlock()
 }
 
-// extractionLanes lists the four extraction kernels in the launch order
-// the ported schedules use (shortest first, the correlogram last).
-var extractionLanes = []marvel.KernelID{marvel.KCH, marvel.KTX, marvel.KEH, marvel.KCC}
-
-// decision evaluates a feature vector against its kernel's concept
-// model.
-func decision(ms *marvel.ModelSet, id marvel.KernelID, vec []float32) float64 {
-	switch id {
-	case marvel.KCH:
-		return ms.CH.Decision(vec)
-	case marvel.KCC:
-		return ms.CC.Decision(vec)
-	case marvel.KEH:
-		return ms.EH.Decision(vec)
-	default:
-		return ms.TX.Decision(vec)
-	}
-}
-
 // Execute implements marvel.ExecBackend: it runs the point's batch
 // graph Reps times and reports the fastest wall time together with the
 // outputs of the final rep.
@@ -127,12 +109,16 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 	if w.Images <= 0 || w.W <= 0 || w.H <= 0 {
 		return nil, fmt.Errorf("exec: bad workload %+v", w)
 	}
+	sched, err := p.Scenario.Schedule()
+	if err != nil {
+		return nil, err
+	}
 	ms, err := b.arts.ModelSet(w.Seed)
 	if err != nil {
 		return nil, err
 	}
 	plans := map[marvel.KernelID][]img.Slice{}
-	for _, id := range extractionLanes {
+	for _, id := range sched.Order {
 		if plans[id], err = marvel.ExecPlan(id, p.Variant, w.W, w.H); err != nil {
 			return nil, err
 		}
@@ -147,11 +133,8 @@ func (b *Backend) Execute(p marvel.ExecPoint) (*marvel.ExecRun, error) {
 		}
 		s0 := b.ex.Stats()
 		t0 := b.now()
-		images, err := b.runBatch(p, ms, plans)
+		images := b.runBatch(p, sched, ms, plans)
 		wall := (b.now() - t0).Nanoseconds()
-		if err != nil {
-			return nil, err
-		}
 		if run.WallNS == 0 || wall < run.WallNS {
 			run.WallNS = wall
 		}
@@ -186,7 +169,7 @@ type laneOut struct {
 	score float64
 }
 
-// batchState carries one rep's buffers through the schedule drivers.
+// batchState carries one rep's buffers through run.
 type batchState struct {
 	b      *Backend
 	p      marvel.ExecPoint
@@ -197,22 +180,17 @@ type batchState struct {
 }
 
 // runBatch executes one rep of the point's task graph.
-func (b *Backend) runBatch(p marvel.ExecPoint, ms *marvel.ModelSet, plans map[marvel.KernelID][]img.Slice) ([]marvel.ImageResult, error) {
+func (b *Backend) runBatch(p marvel.ExecPoint, sched marvel.Schedule, ms *marvel.ModelSet, plans map[marvel.KernelID][]img.Slice) []marvel.ImageResult {
 	w := p.Workload
 	st := &batchState{b: b, p: p, ms: ms, plans: plans, stride: img.StrideFor(w.W)}
 	numBufs := 1
-	if p.Scenario == marvel.Pipelined {
+	if sched.Overlap {
 		numBufs = 2
 	}
 	for i := 0; i < numBufs; i++ {
 		st.bufs = append(st.bufs, make([]byte, st.stride*w.H))
 	}
-	switch p.Scenario {
-	case marvel.Pipelined:
-		return st.runPipelined()
-	default:
-		return st.runSequential()
-	}
+	return st.run(sched)
 }
 
 // preprocess regenerates image n (the decode analog of the PPE's
@@ -266,99 +244,64 @@ func (st *batchState) extractLane(id marvel.KernelID, buf, n int) *Future[laneOu
 	})
 }
 
-// detect chains the concept detection onto a finalized lane, rounding
-// the score to float32 exactly as the SPE kernel reports it.
-func (st *batchState) detect(f *Future[laneOut], lane string, n int) *Future[laneOut] {
-	return Then(st.b.ex, f, func(o laneOut) laneOut {
-		t0 := st.b.now()
-		o.score = float64(float32(decision(st.ms, o.id, o.vec)))
-		st.b.span(lane, t0, st.b.now(), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
-		return o
-	})
+// detect runs o's concept detection on lane, rounding the score to
+// float32 exactly as the SPE kernel reports it.
+func (st *batchState) detect(o *laneOut, lane string, n int) {
+	t0 := st.b.now()
+	o.score = float64(float32(st.ms.Model(o.id).Decision(o.vec)))
+	st.b.span(lane, t0, st.b.now(), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, o.id))
 }
 
-// assemble folds lane outputs into the per-image result.
-func assemble(r *marvel.ImageResult, outs []laneOut) {
-	for _, o := range outs {
-		switch o.id {
-		case marvel.KCH:
-			r.CH = o.vec
-		case marvel.KCC:
-			r.CC = o.vec
-		case marvel.KEH:
-			r.EH = o.vec
-		default:
-			r.TX = o.vec
-		}
-		r.Scores[marvel.ScoreIndex(o.id)] = o.score
-	}
-}
-
-// runSequential drives the one-image-at-a-time schedules: SingleSPE
-// (one lane at a time), MultiSPE (lanes parallel, detections serialized
-// on one "detect" lane), and MultiSPE2 / job distribution (lanes
-// parallel, each with its own detection).
-func (st *batchState) runSequential() ([]marvel.ImageResult, error) {
+// run drives the batch one image at a time under sched. Extraction
+// lanes launch in sched.Order: all at once when Parallel, otherwise
+// each runs to completion before the next starts. Replicated chains
+// each detection onto its own lane; otherwise the four detections run
+// serially on one "detect" lane once every extraction is done. With
+// Overlap, the orchestrator preprocesses image n+1 into the other pixel
+// buffer while image n's lanes run.
+func (st *batchState) run(sched marvel.Schedule) []marvel.ImageResult {
 	w := st.p.Workload
 	out := make([]marvel.ImageResult, 0, w.Images)
+	if sched.Overlap {
+		st.preprocess(0, 0)
+	}
 	for n := 0; n < w.Images; n++ {
-		st.preprocess(n, 0)
-		var outs []laneOut
-		switch st.p.Scenario {
-		case marvel.SingleSPE:
-			// No task parallelism: each lane runs to completion (including
-			// its detection) before the next lane starts.
-			for _, id := range extractionLanes {
-				outs = append(outs, st.detect(st.extractLane(id, 0, n), id.String(), n).Wait())
+		buf := n % len(st.bufs)
+		if !sched.Overlap {
+			st.preprocess(n, 0)
+		}
+		lanes := make([]*Future[laneOut], 0, len(sched.Order))
+		for _, id := range sched.Order {
+			f := st.extractLane(id, buf, n)
+			if sched.Replicated {
+				lane := id.String()
+				f = Then(st.b.ex, f, func(o laneOut) laneOut {
+					st.detect(&o, lane, n)
+					return o
+				})
 			}
-		case marvel.MultiSPE:
-			// Extractions race; the detections share one serial lane.
-			var lanes []*Future[laneOut]
-			for _, id := range extractionLanes {
-				lanes = append(lanes, st.extractLane(id, 0, n))
+			if !sched.Parallel {
+				f.Wait()
 			}
-			outs = Then(st.b.ex, WhenAll(st.b.ex, lanes), func(os []laneOut) []laneOut {
+			lanes = append(lanes, f)
+		}
+		if sched.Overlap && n+1 < w.Images {
+			st.preprocess(n+1, (n+1)%len(st.bufs))
+		}
+		all := WhenAll(st.b.ex, lanes)
+		if !sched.Replicated {
+			all = Then(st.b.ex, all, func(os []laneOut) []laneOut {
 				for i := range os {
-					t0 := st.b.now()
-					os[i].score = float64(float32(decision(st.ms, os[i].id, os[i].vec)))
-					st.b.span("detect", t0, st.b.now(), trace.KindCompute, fmt.Sprintf("img%d/detect-%s", n, os[i].id))
+					st.detect(&os[i], "detect", n)
 				}
 				return os
-			}).Wait()
-		default: // MultiSPE2: replicated detectors, one per lane
-			var lanes []*Future[laneOut]
-			for _, id := range extractionLanes {
-				lanes = append(lanes, st.detect(st.extractLane(id, 0, n), id.String(), n))
-			}
-			outs = WhenAll(st.b.ex, lanes).Wait()
+			})
 		}
 		var r marvel.ImageResult
-		assemble(&r, outs)
+		for _, o := range all.Wait() {
+			r.Set(o.id, o.vec, o.score)
+		}
 		out = append(out, r)
 	}
-	return out, nil
-}
-
-// runPipelined drives data distribution: image n's four lanes run from
-// pixel buffer n%2 while the orchestrator preprocesses image n+1 into
-// the other buffer — preprocessing overlaps SPE-side work exactly as
-// the simulated Pipelined schedule (and the estimator's Eq. 3 overlap
-// term) has it.
-func (st *batchState) runPipelined() ([]marvel.ImageResult, error) {
-	w := st.p.Workload
-	out := make([]marvel.ImageResult, 0, w.Images)
-	st.preprocess(0, 0)
-	for n := 0; n < w.Images; n++ {
-		var lanes []*Future[laneOut]
-		for _, id := range extractionLanes {
-			lanes = append(lanes, st.detect(st.extractLane(id, n%2, n), id.String(), n))
-		}
-		if n+1 < w.Images {
-			st.preprocess(n+1, (n+1)%2)
-		}
-		var r marvel.ImageResult
-		assemble(&r, WhenAll(st.b.ex, lanes).Wait())
-		out = append(out, r)
-	}
-	return out, nil
+	return out
 }

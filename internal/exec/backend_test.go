@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,6 +65,81 @@ func TestBackendRejectsBadWorkload(t *testing.T) {
 	}
 }
 
+// TestBackendRejectsUnknownScenario: an out-of-range scenario is an
+// error, not a silent alias for one of the four schedules.
+func TestBackendRejectsUnknownScenario(t *testing.T) {
+	b := NewBackend(Options{Workers: 1, Reps: 1, Artifacts: marvel.NewArtifactCache()})
+	defer b.Close()
+	w := marvel.Workload{Images: 1, W: 352, H: 96, Seed: 11}
+	for _, sc := range []marvel.Scenario{-1, marvel.Pipelined + 1} {
+		if _, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: sc, Variant: marvel.Optimized}); err == nil {
+			t.Errorf("Execute accepted Scenario(%d)", int(sc))
+		}
+	}
+}
+
+// TestBackendFollowsSchedule checks that the executor runs the schedule
+// the simulator runs, from the instrumented run's spans: a shared
+// "detect" lane exists iff the schedule does not replicate detectors,
+// and a schedule that is not Parallel runs its extraction lanes one
+// after another in Schedule.Order, every image.
+func TestBackendFollowsSchedule(t *testing.T) {
+	arts := marvel.NewArtifactCache()
+	w := marvel.Workload{Images: 2, W: 352, H: 96, Seed: 11}
+	for _, sc := range []marvel.Scenario{marvel.SingleSPE, marvel.MultiSPE, marvel.MultiSPE2, marvel.Pipelined} {
+		sched, err := sc.Schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tick atomic.Int64
+		b := NewBackend(Options{
+			Workers:    1,
+			Reps:       1,
+			Artifacts:  arts,
+			Instrument: true,
+			Now: func() time.Duration {
+				return time.Duration(tick.Add(int64(time.Millisecond)))
+			},
+		})
+		run, err := b.Execute(marvel.ExecPoint{Workload: w, Scenario: sc, Variant: marvel.Optimized})
+		b.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", sc, err)
+		}
+		// Each image's extent on each lane: first start, last end.
+		type extent struct{ start, end sim.Time }
+		lanes := map[string]map[string]extent{}
+		for _, s := range run.Trace.Spans() {
+			image, _, _ := strings.Cut(s.Label, "/")
+			if lanes[s.Lane] == nil {
+				lanes[s.Lane] = map[string]extent{}
+			}
+			e, ok := lanes[s.Lane][image]
+			if !ok || s.Start < e.start {
+				e.start = s.Start
+			}
+			e.end = max(e.end, s.End)
+			lanes[s.Lane][image] = e
+		}
+		if _, shared := lanes["detect"]; shared == sched.Replicated {
+			t.Errorf("%v: detect lane present = %v, want %v (Replicated = %v)", sc, shared, !sched.Replicated, sched.Replicated)
+		}
+		if sched.Parallel {
+			continue
+		}
+		for n := 0; n < w.Images; n++ {
+			image := fmt.Sprintf("img%d", n)
+			for i := 1; i < len(sched.Order); i++ {
+				prev, next := sched.Order[i-1].String(), sched.Order[i].String()
+				if p, q := lanes[prev][image], lanes[next][image]; q.start < p.end {
+					t.Errorf("%v %s: lane %s starts at %d, before lane %s ends at %d (order %v)",
+						sc, image, next, q.start, prev, p.end, sched.Order)
+				}
+			}
+		}
+	}
+}
+
 // TestBackendInstrumentation checks the clock-domain rules on the
 // instrumented run: all metrics live in the single "exec" component and
 // every trace span sits on an executor lane, never a simulator track.
@@ -116,7 +192,11 @@ func TestBackendInstrumentation(t *testing.T) {
 	if len(a["pre"]) != w.Images {
 		t.Errorf("pre lane recorded %d spans, want one per image (%d)", len(a["pre"]), w.Images)
 	}
-	for _, id := range extractionLanes {
+	sched, err := marvel.Pipelined.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range sched.Order {
 		if len(a[id.String()]) == 0 {
 			t.Errorf("lane %q recorded no spans (lanes: %v)", id, a)
 		}

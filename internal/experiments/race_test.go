@@ -168,8 +168,8 @@ func TestRaceDeterministicHalf(t *testing.T) {
 // (wall time scaled through trace.WallNanos), with the domains visible
 // in the process names and never sharing a track. The exec half comes
 // from a real backend run with one worker and an injected clock, so the
-// artifact is byte-stable; regenerate with `go test -run RaceTraceGolden
-// -update ./internal/experiments/`.
+// artifact is byte-stable; regenerate with `go test
+// ./internal/experiments/ -run RaceTraceGolden -update`.
 func TestRaceTraceGolden(t *testing.T) {
 	c := &Collector{}
 

@@ -69,10 +69,6 @@ func ExecPlan(id KernelID, v Variant, w, h int) ([]img.Slice, error) {
 	return planRange(0, h, h, budget, g.halo, g.granularity)
 }
 
-// ScoreIndex maps an extraction kernel to its concept-score slot in
-// ImageResult.Scores (CH, CC, EH, TX order).
-func ScoreIndex(id KernelID) int { return scoreIndex(id) }
-
 // CompareImageResults counts output mismatches between two per-image
 // results with the port's validation semantics: feature vectors must
 // match bit for bit, scores after float32 rounding. Exported for the

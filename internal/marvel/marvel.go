@@ -142,11 +142,43 @@ func NewModelSet(seed uint64) (*ModelSet, error) {
 	return ms, nil
 }
 
+// Model returns extraction kernel id's concept model.
+func (ms *ModelSet) Model(id KernelID) *svm.Model {
+	switch id {
+	case KCH:
+		return ms.CH
+	case KCC:
+		return ms.CC
+	case KEH:
+		return ms.EH
+	case KTX:
+		return ms.TX
+	default:
+		panic("marvel: no concept model for " + id.String())
+	}
+}
+
 // ImageResult carries the real outputs computed for one image.
 type ImageResult struct {
 	CH, CC, EH, TX []float32
 	// Scores holds the four decision values (CH, CC, EH, TX concepts).
 	Scores [4]float64
+}
+
+// Set stores extraction kernel id's feature vector and concept score.
+func (r *ImageResult) Set(id KernelID, vec []float32, score float64) {
+	switch id {
+	case KCH:
+		r.CH, r.Scores[0] = vec, score
+	case KCC:
+		r.CC, r.Scores[1] = vec, score
+	case KEH:
+		r.EH, r.Scores[2] = vec, score
+	case KTX:
+		r.TX, r.Scores[3] = vec, score
+	default:
+		panic("marvel: no image result slot for " + id.String())
+	}
 }
 
 // Detect runs the four concept detections on extracted features.

@@ -3,12 +3,10 @@ package marvel
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"cellport/internal/cell"
 	"cellport/internal/core"
 	"cellport/internal/fault"
-	"cellport/internal/features"
 	"cellport/internal/img"
 	"cellport/internal/mainmem"
 	"cellport/internal/metrics"
@@ -16,7 +14,9 @@ import (
 	"cellport/internal/trace"
 )
 
-// Scenario selects the §5.5 scheduling scheme.
+// Scenario selects the §5.5 scheduling scheme. What a scenario means
+// to a per-image driver is its Schedule, defined once in the scenarios
+// table below.
 type Scenario int
 
 // The three evaluated scenarios.
@@ -45,17 +45,61 @@ const (
 	Pipelined
 )
 
+// Schedule is what a Scenario means to a per-image driver. The
+// simulated port (runSchedule) and the real-execution backend
+// (internal/exec) both read it, so the two clocks run one schedule.
+type Schedule struct {
+	// Order is the order the four extractions issue in; detections
+	// follow the same order. The slice is shared: do not modify it.
+	Order []KernelID
+	// Parallel issues all four extractions before collecting any;
+	// otherwise each runs to completion before the next issues.
+	Parallel bool
+	// Replicated gives each feature its own detector (SPE4-7), fed as
+	// soon as its extraction completes; otherwise one shared detector
+	// (SPE4) runs the four detections serially after the extractions.
+	Replicated bool
+	// Overlap preprocesses image n+1 into a second pixel buffer while
+	// the SPEs work on image n.
+	Overlap bool
+}
+
+var (
+	// listingOrder is the paper's kernel listing order of the four
+	// extraction kernels.
+	listingOrder = KernelIDs[:KCD]
+	// completionOrder lists them in expected-completion order for the
+	// parallel scenarios (shortest first, the correlogram last).
+	completionOrder = []KernelID{KCH, KTX, KEH, KCC}
+)
+
+// scenarios defines every Scenario: its name and its Schedule.
+var scenarios = [...]struct {
+	name  string
+	sched Schedule
+}{
+	SingleSPE: {"single-spe", Schedule{Order: listingOrder}},
+	MultiSPE:  {"multi-spe", Schedule{Order: completionOrder, Parallel: true}},
+	MultiSPE2: {"multi-spe2", Schedule{Order: completionOrder, Parallel: true, Replicated: true}},
+	Pipelined: {"pipelined", Schedule{Order: completionOrder, Parallel: true, Replicated: true, Overlap: true}},
+}
+
+func (s Scenario) valid() bool { return s >= 0 && int(s) < len(scenarios) }
+
 func (s Scenario) String() string {
-	switch s {
-	case SingleSPE:
-		return "single-spe"
-	case MultiSPE:
-		return "multi-spe"
-	case MultiSPE2:
-		return "multi-spe2"
-	default:
-		return "pipelined"
+	if !s.valid() {
+		return fmt.Sprintf("Scenario(%d)", int(s))
 	}
+	return scenarios[s].name
+}
+
+// Schedule returns the scenario's schedule; an out-of-range Scenario is
+// an error.
+func (s Scenario) Schedule() (Schedule, error) {
+	if !s.valid() {
+		return Schedule{}, fmt.Errorf("marvel: unknown scenario %d", int(s))
+	}
+	return scenarios[s].sched, nil
 }
 
 // PortedConfig configures a ported-application run.
@@ -141,25 +185,6 @@ type PortedResult struct {
 	Exec *ExecRun `json:"-"`
 }
 
-// extractOrder lists extraction kernels in expected-completion order for
-// the parallel scenarios (shortest first, the correlogram last).
-var extractOrder = []KernelID{KCH, KTX, KEH, KCC}
-
-// detModelOf maps an extraction kernel to its concept model index in
-// ImageResult.Scores.
-func scoreIndex(id KernelID) int {
-	switch id {
-	case KCH:
-		return 0
-	case KCC:
-		return 1
-	case KEH:
-		return 2
-	default:
-		return 3
-	}
-}
-
 // RunPorted executes the ported MARVEL application on a simulated Cell.
 // With an execution backend configured, the same point then runs for
 // real and the measured run rides along on the result.
@@ -167,6 +192,10 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	w := cfg.Workload
 	if w.Images <= 0 {
 		return nil, fmt.Errorf("%w (Workload.Images = %d)", ErrEmptyWorkload, w.Images)
+	}
+	sched, err := cfg.Scenario.Schedule()
+	if err != nil {
+		return nil, err
 	}
 	mcfg := cell.DefaultConfig()
 	if cfg.MachineConfig != nil {
@@ -201,7 +230,7 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 	var runErr error
 	var ppeBusy sim.Duration
 	elapsed, err := machine.RunMain("marvel", func(ctx *cell.Context) {
-		runErr = portedMain(ctx, cfg, inj, images, ms, ref, res)
+		runErr = portedMain(ctx, cfg, sched, inj, images, ms, ref, res)
 		ppeBusy = ctx.BusyTime()
 	})
 	if err != nil {
@@ -258,7 +287,7 @@ func RunPorted(cfg PortedConfig) (*PortedResult, error) {
 }
 
 // portedMain is the PPE main application after porting (Listing 4 shape).
-func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images []*img.RGB, ms *ModelSet, ref *ReferenceResult, res *PortedResult) error {
+func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.Injector, images []*img.RGB, ms *ModelSet, ref *ReferenceResult, res *PortedResult) error {
 	mem := ctx.Memory()
 	w := cfg.Workload
 	pixels := float64(w.W * w.H)
@@ -268,35 +297,16 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 	start := ctx.Now()
 	ctx.DiskRead(ModelFileBytes, "load-models")
 	ctx.ComputeScalar(ModelParseOps, "parse-models")
-	type placed struct {
-		pm  *PlacedModel
-		dim int
-		n   int
-	}
-	models := map[KernelID]placed{}
-	place := func(id KernelID, m *PlacedModel, err error) error {
+	// Models are placed in score order (CH, CC, EH, TX); the order fixes
+	// the main-memory layout.
+	var models [KCD]*PlacedModel
+	for _, id := range []KernelID{KCH, KCC, KEH, KTX} {
+		pm, err := PlaceModel(mem, ms.Model(id))
 		if err != nil {
 			return err
 		}
-		ctx.MemStream(float64(m.Bytes()), "place-model")
-		models[id] = placed{pm: m, dim: m.Dim, n: m.NumSV}
-		return nil
-	}
-	pm, err := PlaceModel(mem, ms.CH)
-	if err := place(KCH, pm, err); err != nil {
-		return err
-	}
-	pm, err = PlaceModel(mem, ms.CC)
-	if err := place(KCC, pm, err); err != nil {
-		return err
-	}
-	pm, err = PlaceModel(mem, ms.EH)
-	if err := place(KEH, pm, err); err != nil {
-		return err
-	}
-	pm, err = PlaceModel(mem, ms.TX)
-	if err := place(KTX, pm, err); err != nil {
-		return err
+		ctx.MemStream(float64(pm.Bytes()), "place-model")
+		models[id] = pm
 	}
 
 	// PPE fallback closures for graceful degradation: each reproduces its
@@ -312,18 +322,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 			if iw <= 0 || ih <= 0 || stride < 3*iw || y0 != 0 || y1 != ih {
 				return resErr
 			}
-			im := img.Wrap(mem.Bytes(pixEA, uint32(stride*ih)), iw, ih, stride)
-			var vec []float32
-			switch id {
-			case KCH:
-				vec = features.ColorHistogram(im)
-			case KCC:
-				vec = features.ColorCorrelogram(im)
-			case KEH:
-				vec = features.EdgeHistogram(im)
-			default:
-				vec = features.Texture(im)
-			}
+			vec := referenceFeature(id, img.Wrap(mem.Bytes(pixEA, uint32(stride*ih)), iw, ih, stride))
 			cal := Cal(id)
 			ctx.ComputeBranches(cal.NomBranchesPerPixel*pixels, -1, id.String()+"-ppe")
 			ctx.ComputeScalar(cal.NomOpsPerPixel*pixels*cal.HostOpsMult, id.String()+"-ppe")
@@ -338,12 +337,11 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 		if dim <= 0 || numSV <= 0 {
 			return resErr
 		}
-		// Locate the placed model by effective address; the match is
-		// unique, so map order does not matter.
+		// Locate the placed model by effective address.
 		var model *PlacedModel
-		for _, p := range models {
-			if p.pm.EA == modelEA {
-				model = p.pm
+		for _, pm := range models {
+			if pm.EA == modelEA {
+				model = pm
 				break
 			}
 		}
@@ -363,65 +361,58 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 		return resOK
 	}
 
-	// Kernel placement: extraction kernels on SPE0-3; detection on SPE4
-	// (SingleSPE, MultiSPE) or replicated on SPE4-7 (MultiSPE2). Under
-	// supervision, SPEs beyond the planned set form the redispatch pool.
+	// Kernel placement: extraction kernels on SPE0-3; detection on SPE4,
+	// or replicated on SPE4-7 when the schedule gives each feature its
+	// own detector. Under supervision, SPEs beyond the planned set form
+	// the redispatch pool.
 	sup := newSupervisor(ctx, inj, cfg.Watchdog)
-	switch cfg.Scenario {
-	case MultiSPE2, Pipelined:
-		sup.reserve(0, 1, 2, 3, 4, 5, 6, 7)
-	default:
-		sup.reserve(0, 1, 2, 3, 4)
+	numDetectors := 1
+	if sched.Replicated {
+		numDetectors = len(listingOrder)
 	}
-	extract := map[KernelID]*kern{}
-	for i, id := range []KernelID{KCH, KCC, KTX, KEH} {
+	for i := 0; i < len(listingOrder)+numDetectors; i++ {
+		sup.reserve(i)
+	}
+	var extract, detect [KCD]*kern
+	for i, id := range listingOrder {
 		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant), extractFallback(id))
 		if err != nil {
 			return err
 		}
 		extract[id] = k
 	}
-	detect := map[KernelID]*kern{}
-	switch cfg.Scenario {
-	case MultiSPE2, Pipelined:
-		for i, id := range []KernelID{KCH, KCC, KTX, KEH} {
-			k, err := sup.open(4+i, DetectKernelSpec(cfg.Variant), detectFallback)
-			if err != nil {
-				return err
-			}
-			detect[id] = k
-		}
-	default:
-		k, err := sup.open(4, DetectKernelSpec(cfg.Variant), detectFallback)
+	detectors := make([]*kern, numDetectors)
+	for i := range detectors {
+		k, err := sup.open(len(listingOrder)+i, DetectKernelSpec(cfg.Variant), detectFallback)
 		if err != nil {
 			return err
 		}
-		for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-			detect[id] = k
-		}
+		detectors[i] = k
+	}
+	for i, id := range listingOrder {
+		detect[id] = detectors[i%numDetectors] // one shared, or one each
 	}
 	res.OneTime = ctx.Now().Sub(start)
 
-	// Persistent wrappers and pixel blocks, reused per image. The
-	// pipelined schedule double-buffers the pixel block (and the
+	// Persistent wrappers and pixel blocks, reused per image. An
+	// overlapping schedule double-buffers the pixel block (and the
 	// extraction wrappers pointing at it) so preprocessing of image i+1
 	// can overlap SPE processing of image i.
 	stride := img.StrideFor(w.W)
 	pixBytes := uint32(stride * w.H)
 	numBufs := 1
-	if cfg.Scenario == Pipelined {
+	if sched.Overlap {
 		numBufs = 2
 	}
 	pixEAs := make([]mainmem.Addr, numBufs)
-	exWraps := make([]map[KernelID]*core.Wrapper, numBufs)
-	for b := 0; b < numBufs; b++ {
+	exWraps := make([][KCD]*core.Wrapper, numBufs)
+	for b := range exWraps {
 		ea, err := mem.Alloc(pixBytes, mainmem.AlignCacheLine)
 		if err != nil {
 			return err
 		}
 		pixEAs[b] = ea
-		exWraps[b] = map[KernelID]*core.Wrapper{}
-		for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
+		for _, id := range listingOrder {
 			ew, err := core.NewWrapper(mem, extractFields(id)...)
 			if err != nil {
 				return err
@@ -430,33 +421,17 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 			exWraps[b][id] = ew
 		}
 	}
-	exWrap := exWraps[0]
-	dtWrap := map[KernelID]*core.Wrapper{}
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-		p := models[id]
-		dw, err := core.NewWrapper(mem, detectFields(p.dim)...)
+	var dtWrap [KCD]*core.Wrapper
+	for _, id := range listingOrder {
+		pm := models[id]
+		dw, err := core.NewWrapper(mem, detectFields(pm.Dim)...)
 		if err != nil {
 			return err
 		}
-		fillDetectHeader(dw, p.dim, p.n, p.pm.EA, 0)
+		fillDetectHeader(dw, pm.Dim, pm.NumSV, pm.EA, 0)
 		dtWrap[id] = dw
 	}
 
-	readFeatureSet := func(set map[KernelID]*core.Wrapper, id KernelID) []float32 {
-		return set[id].Float32s("out", outDim(id))
-	}
-	readFeature := func(id KernelID) []float32 { return readFeatureSet(exWrap, id) }
-	feedDetectorSet := func(set map[KernelID]*core.Wrapper, id KernelID) {
-		// FILL the detection wrapper from the extraction output (the
-		// Listing-4 "put data back / wrap again" step).
-		vec := readFeatureSet(set, id)
-		dtWrap[id].SetFloat32s("feature", vec)
-		ctx.MemStream(float64(len(vec)*4*2), "copy-feature")
-	}
-	feedDetector := func(id KernelID) { feedDetectorSet(exWrap, id) }
-	readScore := func(id KernelID) float64 {
-		return float64(dtWrap[id].Float32s("score", 1)[0])
-	}
 	// preprocessInto reads and decodes one image into pixel block b: the
 	// PPE-side preprocessing of §5.1.
 	preprocessInto := func(im *img.RGB, b int) {
@@ -471,37 +446,23 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 		}
 	}
 
-	if cfg.Scenario == Pipelined {
-		if err := runPipelined(ctx, images, exWraps, dtWrap, extract, detect,
-			preprocessInto, feedDetectorSet, readFeatureSet, readScore, ref, res); err != nil {
-			return err
-		}
-	} else {
-		// --- per-image pipeline, sequential schedules ------------------
-		if err := runSequentialScenarios(ctx, cfg, images, exWrap, dtWrap, extract, detect,
-			preprocessInto, feedDetector, readFeature, readScore, ref, res); err != nil {
-			return err
-		}
+	if err := runSchedule(ctx, sched, images, exWraps, &dtWrap, &extract, &detect, preprocessInto, ref, res); err != nil {
+		return err
 	}
 
 	// Tear down: close interfaces (sends OpExit), free wrappers.
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
+	for _, id := range listingOrder {
 		if err := extract[id].Close(); err != nil {
 			return err
 		}
 	}
-	closed := map[*kern]bool{}
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-		k := detect[id]
-		if !closed[k] {
-			if err := k.Close(); err != nil {
-				return err
-			}
-			closed[k] = true
+	for _, k := range detectors {
+		if err := k.Close(); err != nil {
+			return err
 		}
 	}
-	for b := 0; b < numBufs; b++ {
-		for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
+	for b := range exWraps {
+		for _, id := range listingOrder {
 			if err := exWraps[b][id].Free(); err != nil {
 				return err
 			}
@@ -510,206 +471,106 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, inj *fault.Injector, images
 			return err
 		}
 	}
-	for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
+	for _, id := range listingOrder {
 		if err := dtWrap[id].Free(); err != nil {
 			return err
 		}
-		if err := models[id].pm.Free(mem); err != nil {
+		if err := models[id].Free(mem); err != nil {
 			return err
 		}
 	}
 	return mem.CheckLeaks()
 }
 
-// runSequentialScenarios executes the paper's three schedules (one image
-// fully processed before the next one is touched).
-func runSequentialScenarios(
+// runSchedule drives the per-image pipeline under sched. Extractions
+// issue in sched.Order, all at once when Parallel and one at a time
+// otherwise; each feature then goes to its own detector as soon as its
+// extraction completes (Replicated) or, after all four, to the shared
+// detector one at a time. With Overlap, image n+1 is preprocessed into
+// the other pixel buffer while the SPEs work on image n. Kernels run
+// one at a time are timed into res.KernelTime.
+func runSchedule(
 	ctx *cell.Context,
-	cfg PortedConfig,
+	sched Schedule,
 	images []*img.RGB,
-	exWrap, dtWrap map[KernelID]*core.Wrapper,
-	extract, detect map[KernelID]*kern,
+	exWraps [][KCD]*core.Wrapper,
+	dtWrap *[KCD]*core.Wrapper,
+	extract, detect *[KCD]*kern,
 	preprocessInto func(*img.RGB, int),
-	feedDetector func(KernelID),
-	readFeature func(KernelID) []float32,
-	readScore func(KernelID) float64,
 	ref *ReferenceResult,
 	res *PortedResult,
 ) error {
+	// invoke runs k to completion, charging its round trip to
+	// res.KernelTime[id].
+	invoke := func(k *kern, wrapper mainmem.Addr, id KernelID) error {
+		t0 := ctx.Now()
+		if err := k.Send(OpRun, wrapper); err != nil {
+			return err
+		}
+		if err := wait(k, id); err != nil {
+			return err
+		}
+		res.KernelTime[id] += ctx.Now().Sub(t0)
+		return nil
+	}
+	if sched.Overlap {
+		preprocessInto(images[0], 0)
+	}
 	for n, im := range images {
-		preprocessInto(im, 0)
-
-		var r ImageResult
-		invoke := func(id KernelID, k *kern, wrapper mainmem.Addr) error {
-			t0 := ctx.Now()
-			code, err := k.SendAndWait(OpRun, wrapper)
+		set := &exWraps[n%len(exWraps)]
+		if !sched.Overlap {
+			preprocessInto(im, 0)
+		}
+		// feed FILLs id's detection wrapper from its extraction output
+		// (the Listing-4 "put data back / wrap again" step).
+		feed := func(id KernelID) {
+			vec := set[id].Float32s("out", outDim(id))
+			dtWrap[id].SetFloat32s("feature", vec)
+			ctx.MemStream(float64(len(vec)*4*2), "copy-feature")
+		}
+		if sched.Parallel {
+			for _, id := range sched.Order {
+				if err := extract[id].Send(OpRun, set[id].Addr()); err != nil {
+					return err
+				}
+			}
+		}
+		if sched.Overlap && n+1 < len(images) {
+			preprocessInto(images[n+1], (n+1)%len(exWraps))
+		}
+		for _, id := range sched.Order {
+			var err error
+			if sched.Parallel {
+				err = wait(extract[id], id)
+			} else {
+				err = invoke(extract[id], set[id].Addr(), id)
+			}
 			if err != nil {
 				return err
 			}
-			if code != resOK {
-				return fmt.Errorf("marvel: %s returned %#x", id, code)
-			}
-			res.KernelTime[id] += ctx.Now().Sub(t0)
-			return nil
-		}
-
-		switch cfg.Scenario {
-		case SingleSPE:
-			for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-				if err := invoke(id, extract[id], exWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-			for _, id := range []KernelID{KCH, KCC, KTX, KEH} {
-				feedDetector(id)
-				if err := invoke(KCD, detect[id], dtWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-		case MultiSPE:
-			// Fig. 4(c) with strict group order: the extraction group runs
-			// in parallel; once it completes, the detections run
-			// sequentially on the shared detector SPE ("the groups ... are
-			// still executed sequentially").
-			for _, id := range extractOrder {
-				if err := extract[id].Send(OpRun, exWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-			for _, id := range extractOrder {
-				code, err := extract[id].Wait()
-				if err != nil {
-					return err
-				}
-				if code != resOK {
-					return fmt.Errorf("marvel: %s returned %#x", id, code)
-				}
-			}
-			for _, id := range extractOrder {
-				feedDetector(id)
-				if err := invoke(KCD, detect[id], dtWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-		case MultiSPE2:
-			// Replicated detectors: each extraction is immediately followed
-			// by its own detection on its paired SPE, overlapping with the
-			// remaining extractions.
-			for _, id := range extractOrder {
-				if err := extract[id].Send(OpRun, exWrap[id].Addr()); err != nil {
-					return err
-				}
-			}
-			var inFlight []KernelID
-			for _, id := range extractOrder {
-				code, err := extract[id].Wait()
-				if err != nil {
-					return err
-				}
-				if code != resOK {
-					return fmt.Errorf("marvel: %s returned %#x", id, code)
-				}
-				feedDetector(id)
+			if sched.Replicated {
+				feed(id)
 				if err := detect[id].Send(OpRun, dtWrap[id].Addr()); err != nil {
 					return err
 				}
-				inFlight = append(inFlight, id)
-			}
-			for _, id := range inFlight {
-				code, err := detect[id].Wait()
-				if err != nil {
-					return err
-				}
-				if code != resOK {
-					return fmt.Errorf("marvel: detect(%s) returned %#x", id, code)
-				}
 			}
 		}
-
-		r.CH = readFeature(KCH)
-		r.CC = readFeature(KCC)
-		r.EH = readFeature(KEH)
-		r.TX = readFeature(KTX)
-		for _, id := range []KernelID{KCH, KCC, KEH, KTX} {
-			r.Scores[scoreIndex(id)] = readScore(id)
-		}
-		res.Images = append(res.Images, r)
-
-		if ref != nil {
-			res.ValidationErrors += compareImage(&ref.Images[n], &r)
-		}
-	}
-	return nil
-}
-
-// runPipelined executes the extension schedule: while the SPEs extract
-// and detect image i (from pixel-buffer set i%2), the PPE preprocesses
-// image i+1 into the other set. Detections use the replicated detectors
-// (SPE4-7), so each extraction is followed by its own detection as in
-// MultiSPE2.
-func runPipelined(
-	ctx *cell.Context,
-	images []*img.RGB,
-	exWraps []map[KernelID]*core.Wrapper,
-	dtWrap map[KernelID]*core.Wrapper,
-	extract, detect map[KernelID]*kern,
-	preprocessInto func(*img.RGB, int),
-	feedDetectorSet func(map[KernelID]*core.Wrapper, KernelID),
-	readFeatureSet func(map[KernelID]*core.Wrapper, KernelID) []float32,
-	readScore func(KernelID) float64,
-	ref *ReferenceResult,
-	res *PortedResult,
-) error {
-	if len(images) == 0 {
-		return nil
-	}
-	preprocessInto(images[0], 0)
-	for n := range images {
-		set := exWraps[n%2]
-		// Launch all four extractions on image n.
-		for _, id := range extractOrder {
-			if err := extract[id].Send(OpRun, set[id].Addr()); err != nil {
-				return err
+		for _, id := range sched.Order {
+			var err error
+			if sched.Replicated {
+				err = wait(detect[id], replica(id))
+			} else {
+				feed(id)
+				err = invoke(detect[id], dtWrap[id].Addr(), KCD)
 			}
-		}
-		// Overlap: preprocess image n+1 into the other buffer while the
-		// SPEs work.
-		if n+1 < len(images) {
-			preprocessInto(images[n+1], (n+1)%2)
-		}
-		// Collect extractions, hand each feature to its own detector.
-		var inFlight []KernelID
-		for _, id := range extractOrder {
-			code, err := extract[id].Wait()
 			if err != nil {
 				return err
-			}
-			if code != resOK {
-				return fmt.Errorf("marvel: %s returned %#x", id, code)
-			}
-			feedDetectorSet(set, id)
-			if err := detect[id].Send(OpRun, dtWrap[id].Addr()); err != nil {
-				return err
-			}
-			inFlight = append(inFlight, id)
-		}
-		for _, id := range inFlight {
-			code, err := detect[id].Wait()
-			if err != nil {
-				return err
-			}
-			if code != resOK {
-				return fmt.Errorf("marvel: detect(%s) returned %#x", id, code)
 			}
 		}
 
 		var r ImageResult
-		r.CH = readFeatureSet(set, KCH)
-		r.CC = readFeatureSet(set, KCC)
-		r.EH = readFeatureSet(set, KEH)
-		r.TX = readFeatureSet(set, KTX)
-		for _, id := range []KernelID{KCH, KCC, KEH, KTX} {
-			r.Scores[scoreIndex(id)] = readScore(id)
+		for _, id := range listingOrder {
+			r.Set(id, set[id].Float32s("out", outDim(id)), float64(dtWrap[id].Float32s("score", 1)[0]))
 		}
 		res.Images = append(res.Images, r)
 		if ref != nil {
@@ -718,6 +579,24 @@ func runPipelined(
 	}
 	return nil
 }
+
+// wait collects k's in-flight result; any code but resOK is an error
+// naming the kernel.
+func wait(k *kern, name fmt.Stringer) error {
+	code, err := k.Wait()
+	if err != nil {
+		return err
+	}
+	if code != resOK {
+		return fmt.Errorf("marvel: %s returned %#x", name, code)
+	}
+	return nil
+}
+
+// replica names the replicated detector serving one feature.
+type replica KernelID
+
+func (r replica) String() string { return "detect(" + KernelID(r).String() + ")" }
 
 // compareImage counts mismatches between reference and ported outputs.
 // Feature vectors must match bit-for-bit; scores must match after
@@ -742,9 +621,7 @@ func compareImage(ref, got *ImageResult) int {
 	cmpVec(ref.TX, got.TX)
 	for i := range ref.Scores {
 		if float64(float32(ref.Scores[i])) != got.Scores[i] {
-			if math.Abs(float64(float32(ref.Scores[i]))-got.Scores[i]) > 0 {
-				bad++
-			}
+			bad++
 		}
 	}
 	return bad
