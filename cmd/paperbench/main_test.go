@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -383,8 +384,11 @@ func TestRunProfilesWritten(t *testing.T) {
 	}
 }
 
-// TestRunBenchRefresh checks -bench-refresh regenerates both committed
-// baselines into the requested directory with the expected experiments.
+// TestRunBenchRefresh regenerates the four committed baselines into a
+// temporary directory and requires each experiment's data section to
+// equal the committed bench/BENCH_*.json, ignoring measured_ keys (host
+// wall facts) as benchdiff does. A change that moves any reported
+// virtual-time byte fails here until the baselines are refreshed.
 func TestRunBenchRefresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full baseline matrix")
@@ -394,22 +398,55 @@ func TestRunBenchRefresh(t *testing.T) {
 	if status := run([]string{"-bench-refresh", "-bench-dir", dir}, &out, &errw); status != 0 {
 		t.Fatalf("status %d, stderr: %s", status, errw.String())
 	}
-	serveData := experimentData(t, readFileT(t, filepath.Join(dir, "BENCH_serve.json")))
-	if _, ok := serveData["serve"]; !ok {
-		t.Fatalf("BENCH_serve.json missing serve experiment: %v", serveData)
+	for file, exp := range map[string]string{
+		"BENCH_serve.json": "serve",
+		"BENCH_sweep.json": "fig7",
+		"BENCH_fleet.json": "fleet",
+		"BENCH_race.json":  "race",
+	} {
+		fresh := experimentData(t, readFileT(t, filepath.Join(dir, file)))
+		if _, ok := fresh[exp]; !ok {
+			t.Fatalf("%s missing %s experiment: %v", file, exp, fresh)
+		}
+		committed := experimentData(t, readFileT(t, filepath.Join("..", "..", "bench", file)))
+		if len(fresh) != len(committed) {
+			t.Errorf("%s: %d experiments regenerated, %d committed", file, len(fresh), len(committed))
+		}
+		for name, raw := range committed {
+			if got, want := unmeasured(t, fresh[name]), unmeasured(t, raw); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s data differs from the committed baseline (benchdiff -strict lists the paths)", file, name)
+			}
+		}
 	}
-	sweepData := experimentData(t, readFileT(t, filepath.Join(dir, "BENCH_sweep.json")))
-	if _, ok := sweepData["fig7"]; !ok {
-		t.Fatalf("BENCH_sweep.json missing fig7 experiment: %v", sweepData)
+}
+
+// unmeasured decodes a data section with every measured_-prefixed key
+// removed, recursively.
+func unmeasured(t *testing.T, raw json.RawMessage) any {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("data section did not parse: %v", err)
 	}
-	fleetData := experimentData(t, readFileT(t, filepath.Join(dir, "BENCH_fleet.json")))
-	if _, ok := fleetData["fleet"]; !ok {
-		t.Fatalf("BENCH_fleet.json missing fleet experiment: %v", fleetData)
+	var strip func(any) any
+	strip = func(v any) any {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, val := range x {
+				if strings.HasPrefix(k, "measured_") {
+					delete(x, k)
+				} else {
+					x[k] = strip(val)
+				}
+			}
+		case []any:
+			for i := range x {
+				x[i] = strip(x[i])
+			}
+		}
+		return v
 	}
-	raceData := experimentData(t, readFileT(t, filepath.Join(dir, "BENCH_race.json")))
-	if _, ok := raceData["race"]; !ok {
-		t.Fatalf("BENCH_race.json missing race experiment: %v", raceData)
-	}
+	return strip(v)
 }
 
 // TestRunRaceQuick smoke-tests the estimator race end to end through

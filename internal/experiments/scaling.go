@@ -30,14 +30,16 @@ type ScalingRow struct {
 
 // Scaling measures data-parallel extraction for the windowed kernels. The
 // kernel × SPE-count sweep fans out over the worker pool (RunIndexed);
-// speed-ups are derived afterward against each kernel's 1-SPE row.
+// speed-ups are derived afterward against each kernel's 1-SPE row. The
+// image, its reference features and the kernels' band outputs come from
+// the configuration's artifact cache.
 func Scaling(cfg Config) ([]ScalingRow, error) {
 	w := cfg.Workload(1)
 	kernels := []marvel.KernelID{marvel.KCC, marvel.KEH, marvel.KCH, marvel.KTX}
 	counts := []int{1, 2, 4, 8}
 	rows, err := parallel.RunIndexed(cfg.Parallel, len(kernels)*len(counts), func(i int) (ScalingRow, error) {
 		id, n := kernels[i/len(counts)], counts[i%len(counts)]
-		res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, MachineConfig())
+		res, err := marvel.RunDataParallelExtraction(id, n, w, marvel.Optimized, MachineConfig(), cfg.artifacts())
 		if err != nil {
 			return ScalingRow{}, fmt.Errorf("scaling %s/%d: %w", id, n, err)
 		}

@@ -1,8 +1,11 @@
 package marvel
 
 import (
+	"sync"
+
 	"cellport/internal/cost"
 	"cellport/internal/img"
+	"cellport/internal/mainmem"
 	"cellport/internal/workcache"
 )
 
@@ -20,6 +23,10 @@ import (
 // pixels), model sets are only read (placement copies the encodings into
 // simulated memory), and reference results are only compared against.
 //
+// A fourth layer memoizes extraction kernel outputs (see outputKey): a
+// simulated kernel that finds its output there still issues every DMA
+// and charge but skips the feature math.
+//
 // A nil *ArtifactCache is valid and means "no caching": every accessor
 // falls back to computing a private artifact (the execution backend's
 // default when it is given no cache).
@@ -27,6 +34,14 @@ type ArtifactCache struct {
 	images workcache.Cache[Workload, []*img.RGB]
 	models workcache.Cache[uint64, *ModelSet]
 	refs   workcache.Cache[refKey, *ReferenceResult]
+
+	// The output memo has no singleflight: a computing kernel yields to
+	// its simulation engine between slices, so two engines that each
+	// waited on a key the other is computing would deadlock. A lookup
+	// that misses computes, and the first store of a key wins.
+	outMu              sync.Mutex
+	outputs            map[outputKey][]byte
+	outHits, outMisses uint64
 }
 
 // refKey identifies a reference run: the cost model's name plus the full
@@ -93,6 +108,108 @@ func (c *ArtifactCache) Reference(host *cost.Model, w Workload) (*ReferenceResul
 	})
 }
 
+// imageID identifies one corpus image by everything img.Synthesize reads.
+type imageID struct {
+	Seed uint64 // img.CorpusSeed(workload seed, corpus index)
+	W, H int
+}
+
+// outputKey identifies one extraction kernel invocation's output. The
+// kernel, its slice budget and the payload rows fix the slice plan, so
+// the first invocation with a key proves "sliced result equals the
+// full-image result" for that plan (under Validate) and later ones reuse
+// the words it wrote.
+type outputKey struct {
+	Image   imageID
+	Kernel  KernelID
+	Variant Variant
+	Budget  int // slice budget in transferred rows
+	Y0, Y1  int // payload rows
+	Raw     bool
+}
+
+// output returns the memoized output bytes for k (nil on a miss),
+// counting the lookup.
+func (c *ArtifactCache) output(k outputKey) []byte {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	b, ok := c.outputs[k]
+	if ok {
+		c.outHits++
+	} else {
+		c.outMisses++
+	}
+	return b
+}
+
+// storeOutput memoizes b under k unless k already has an entry: the
+// first writer wins. b must not be modified afterwards.
+func (c *ArtifactCache) storeOutput(k outputKey, b []byte) {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	if c.outputs == nil {
+		c.outputs = make(map[outputKey][]byte)
+	}
+	if _, ok := c.outputs[k]; !ok {
+		c.outputs[k] = b
+	}
+}
+
+// OutputStats reports cumulative (hits, misses) of the kernel output
+// memo. Unlike Stats, concurrent runs that miss the same key both count
+// a miss, so the totals can vary with worker interleaving.
+func (c *ArtifactCache) OutputStats() (hits, misses uint64) {
+	if c == nil {
+		return 0, 0
+	}
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	return c.outHits, c.outMisses
+}
+
+// kernelMemo connects one simulation's extraction kernels to a cache's
+// output memo. The driver records which corpus image it placed in each
+// pixel buffer; a kernel finds its image by the buffer address in its
+// header. A nil *kernelMemo memoizes nothing: kernels always compute.
+type kernelMemo struct {
+	cache  *ArtifactCache
+	w      Workload
+	placed map[mainmem.Addr]int // pixel buffer EA → corpus index
+}
+
+// newKernelMemo returns a memo over c for workload w's images, or nil
+// when c is nil.
+func newKernelMemo(c *ArtifactCache, w Workload) *kernelMemo {
+	if c == nil {
+		return nil
+	}
+	return &kernelMemo{cache: c, w: w, placed: make(map[mainmem.Addr]int)}
+}
+
+// place records that the pixel buffer at ea now holds corpus image n.
+func (m *kernelMemo) place(ea mainmem.Addr, n int) {
+	if m != nil {
+		m.placed[ea] = n
+	}
+}
+
+// lookup completes k's image seed from the pixel buffer at pixEA and
+// returns the memoized output (nil on a miss). k.Image carries the
+// header's frame size. ok is false when the invocation cannot be
+// memoized: no memo, no image placed at pixEA, or a frame size that is
+// not the workload's.
+func (m *kernelMemo) lookup(pixEA mainmem.Addr, k outputKey) (key outputKey, out []byte, ok bool) {
+	if m == nil || k.Image.W != m.w.W || k.Image.H != m.w.H {
+		return k, nil, false
+	}
+	n, ok := m.placed[pixEA]
+	if !ok {
+		return k, nil, false
+	}
+	k.Image.Seed = img.CorpusSeed(m.w.Seed, n)
+	return k, m.cache.output(k), true
+}
+
 // Stats reports cumulative (hits, misses) over the three artifact layers.
 func (c *ArtifactCache) Stats() (hits, misses uint64) {
 	if c == nil {
@@ -106,7 +223,8 @@ func (c *ArtifactCache) Stats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// Flush drops all cached artifacts (cold-path calibration, tests).
+// Flush drops all cached artifacts and memoized kernel outputs
+// (cold-path calibration, tests).
 func (c *ArtifactCache) Flush() {
 	if c == nil {
 		return
@@ -114,4 +232,7 @@ func (c *ArtifactCache) Flush() {
 	c.images.Flush()
 	c.models.Flush()
 	c.refs.Flush()
+	c.outMu.Lock()
+	c.outputs = nil
+	c.outMu.Unlock()
 }

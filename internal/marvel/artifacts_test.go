@@ -58,7 +58,31 @@ func TestArtifactCacheNilIsColdPath(t *testing.T) {
 	if h, m := c.Stats(); h != 0 || m != 0 {
 		t.Fatalf("nil cache stats = %d/%d, want 0/0", h, m)
 	}
+	if h, m := c.OutputStats(); h != 0 || m != 0 {
+		t.Fatalf("nil cache output stats = %d/%d, want 0/0", h, m)
+	}
 	c.Flush() // must not panic
+}
+
+// TestArtifactCacheFlushDropsOutputs: Flush empties the kernel output
+// memo along with the other layers, so the next run computes every
+// kernel again; OutputStats keeps counting across it.
+func TestArtifactCacheFlushDropsOutputs(t *testing.T) {
+	c := NewArtifactCache()
+	cfg := PortedConfig{Workload: testWorkload(1), Scenario: SingleSPE, Variant: Optimized, MachineConfig: testMachineConfig(), Artifacts: c}
+	mustRun(t, cfg)
+	if h, m := c.OutputStats(); h != 0 || m != 4 {
+		t.Fatalf("cold run: output stats %d/%d, want 0 hits / 4 misses", h, m)
+	}
+	mustRun(t, cfg)
+	if h, m := c.OutputStats(); h != 4 || m != 4 {
+		t.Fatalf("warm run: output stats %d/%d, want 4 hits / 4 misses", h, m)
+	}
+	c.Flush()
+	mustRun(t, cfg)
+	if h, m := c.OutputStats(); h != 4 || m != 8 {
+		t.Fatalf("run after Flush: output stats %d/%d, want 4 hits / 8 misses", h, m)
+	}
 }
 
 // TestArtifactCacheMatchesUncached is the tentpole identity check on the

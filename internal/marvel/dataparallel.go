@@ -57,10 +57,12 @@ func splitRows(h, n, gran int) [][2]int {
 	return out
 }
 
-// RunDataParallelExtraction runs kernel id over one image of workload w,
-// split across nSPEs, and validates the merged feature against the
-// whole-image reference computation.
-func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mcfg *cell.Config) (*DataParallelResult, error) {
+// RunDataParallelExtraction runs kernel id over the first image of
+// workload w, split across nSPEs, and validates the merged feature
+// against the whole-image reference computation. The image, the
+// reference and the kernels' memoized band outputs come from arts; nil
+// computes them privately.
+func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mcfg *cell.Config, arts *ArtifactCache) (*DataParallelResult, error) {
 	if id == KCD {
 		return nil, fmt.Errorf("marvel: concept detection is not row-parallel")
 	}
@@ -71,14 +73,20 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 	if nSPEs < 1 || nSPEs > cfg.NumSPEs {
 		return nil, fmt.Errorf("marvel: nSPEs %d out of range [1,%d]", nSPEs, cfg.NumSPEs)
 	}
+	w.Images = 1
+	image := arts.Images(w)[0]
+	refRun, err := arts.Reference(cfg.PPEModel, w)
+	if err != nil {
+		return nil, err
+	}
+	ref := refRun.Images[0].feature(id)
+	memo := newKernelMemo(arts, w)
 	machine := cell.New(cfg)
 	defer machine.Release()
-	image := img.Synthesize(w.Seed, w.W, w.H)
-	ref := referenceFeature(id, image)
 
 	res := &DataParallelResult{Kernel: id, NSPEs: nSPEs, Variant: v}
 	var runErr error
-	_, err := machine.RunMain("dp-extract", func(ctx *cell.Context) {
+	_, err = machine.RunMain("dp-extract", func(ctx *cell.Context) {
 		runErr = func() error {
 			mem := ctx.Memory()
 			stride := img.StrideFor(w.W)
@@ -91,12 +99,13 @@ func RunDataParallelExtraction(id KernelID, nSPEs int, w Workload, v Variant, mc
 			for y := 0; y < w.H; y++ {
 				copy(dst[y*stride:], image.Row(y))
 			}
+			memo.place(pixEA, 0)
 
 			bands := splitRows(w.H, nSPEs, rowGranularity(id))
 			ifaces := make([]*core.Interface, len(bands))
 			wraps := make([]*core.Wrapper, len(bands))
 			for i, b := range bands {
-				iface, err := core.Open(ctx, i, ExtractKernelSpec(id, v))
+				iface, err := core.Open(ctx, i, ExtractKernelSpec(id, v, memo))
 				if err != nil {
 					return err
 				}

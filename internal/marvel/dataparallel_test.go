@@ -40,7 +40,7 @@ func TestDataParallelMatchesReference(t *testing.T) {
 	w := testWorkload(1)
 	for _, id := range []KernelID{KCH, KCC, KEH, KTX} {
 		for _, n := range []int{1, 2, 3, 8} {
-			res, err := RunDataParallelExtraction(id, n, w, Optimized, testMachineConfig())
+			res, err := RunDataParallelExtraction(id, n, w, Optimized, testMachineConfig(), nil)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", id, n, err)
 			}
@@ -55,7 +55,7 @@ func TestDataParallelScalesTheCorrelogram(t *testing.T) {
 	w := testWorkload(1)
 	times := map[int]sim.Duration{}
 	for _, n := range []int{1, 2, 4, 8} {
-		res, err := RunDataParallelExtraction(KCC, n, w, Optimized, testMachineConfig())
+		res, err := RunDataParallelExtraction(KCC, n, w, Optimized, testMachineConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,20 +72,20 @@ func TestDataParallelScalesTheCorrelogram(t *testing.T) {
 
 func TestDataParallelRejectsBadArgs(t *testing.T) {
 	w := testWorkload(1)
-	if _, err := RunDataParallelExtraction(KCD, 2, w, Optimized, testMachineConfig()); err == nil {
+	if _, err := RunDataParallelExtraction(KCD, 2, w, Optimized, testMachineConfig(), nil); err == nil {
 		t.Error("KCD accepted")
 	}
-	if _, err := RunDataParallelExtraction(KCC, 0, w, Optimized, testMachineConfig()); err == nil {
+	if _, err := RunDataParallelExtraction(KCC, 0, w, Optimized, testMachineConfig(), nil); err == nil {
 		t.Error("0 SPEs accepted")
 	}
-	if _, err := RunDataParallelExtraction(KCC, 99, w, Optimized, testMachineConfig()); err == nil {
+	if _, err := RunDataParallelExtraction(KCC, 99, w, Optimized, testMachineConfig(), nil); err == nil {
 		t.Error("99 SPEs accepted")
 	}
 }
 
 func TestDataParallelNaiveVariantAlsoCorrect(t *testing.T) {
 	w := testWorkload(1)
-	res, err := RunDataParallelExtraction(KEH, 4, w, Naive, testMachineConfig())
+	res, err := RunDataParallelExtraction(KEH, 4, w, Naive, testMachineConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestPlanFootprintMatchesKernelBehaviour(t *testing.T) {
 	}
 	// Run the kernel on that exact frame and verify its real peak LS usage
 	// stays within the planned figure.
-	res, err := RunDataParallelExtraction(KCC, 1, Workload{Images: 1, W: 352, H: 96, Seed: 3}, Optimized, testMachineConfig())
+	res, err := RunDataParallelExtraction(KCC, 1, Workload{Images: 1, W: 352, H: 96, Seed: 3}, Optimized, testMachineConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,13 @@ func sliceBudget(free uint32, id KernelID, v Variant, w, stride int) int {
 // one (naive) or two (optimized) buffers, runs the real incremental
 // feature computation, and DMAs the result back — the finalized feature
 // vector for OpRun, the raw accumulator words for OpRunPartial.
-func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
+//
+// With a non-nil memo, an invocation whose output is already memoized
+// skips only the feature computation: it keeps every local-store
+// allocation, DMA and charge, and writes the memoized words instead. A
+// miss computes and stores its words. Virtual time is the same either
+// way, because it depends only on the slice sizes.
+func ExtractKernelSpec(id KernelID, v Variant, memo *kernelMemo) core.KernelSpec {
 	cal := Cal(id)
 	g := kernelGeom(id)
 	fn := func(ctx *spe.Context, wrapper mainmem.Addr, partial bool) uint32 {
@@ -268,7 +274,11 @@ func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
 			return resErr
 		}
 
-		acc := g.newAcc()
+		key, memoed, keyed := memo.lookup(pixEA, outputKey{Image: imageID{W: w, H: h}, Kernel: id, Variant: v, Budget: budget, Y0: y0, Y1: y1, Raw: partial})
+		var acc sliceAcc
+		if memoed == nil {
+			acc = g.newAcc()
+		}
 		fetch := func(i, tag int) error {
 			s := slices[i]
 			return dmaRows(ctx, bufs[tag], pixEA+mainmem.Addr(s.TransferY0()*stride),
@@ -276,8 +286,10 @@ func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
 		}
 		process := func(i, tag int) {
 			s := slices[i]
-			band := img.Wrap(st.Bytes(bufs[tag], uint32(s.TransferRows()*stride)), w, s.TransferRows(), stride)
-			acc.process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
+			if acc != nil {
+				band := img.Wrap(st.Bytes(bufs[tag], uint32(s.TransferRows()*stride)), w, s.TransferRows(), stride)
+				acc.process(band, s.HaloTop, s.HaloTop+s.PayloadRows())
+			}
 			chargeExtract(ctx, id, v, float64(s.PayloadRows()*w))
 		}
 		if v == Optimized {
@@ -305,14 +317,27 @@ func ExtractKernelSpec(id KernelID, v Variant) core.KernelSpec {
 			}
 		}
 
-		if partial {
+		var out []byte
+		switch {
+		case memoed != nil:
+			out = st.Bytes(outLS, uint32(len(memoed)))
+			copy(out, memoed)
+		case partial:
 			words := encodeRaw(id, acc)
-			ctx.ComputeScalar(float64(len(words))*3, id.String()+"-emit-raw")
-			core.PutUint32s(st.Bytes(outLS, uint32(len(words)*4)), words)
-		} else {
+			out = st.Bytes(outLS, uint32(len(words)*4))
+			core.PutUint32s(out, words)
+		default:
 			vec := acc.finalize()
-			ctx.ComputeScalar(float64(len(vec))*12, id.String()+"-finalize")
-			core.PutFloat32s(st.Bytes(outLS, uint32(len(vec)*4)), vec)
+			out = st.Bytes(outLS, uint32(len(vec)*4))
+			core.PutFloat32s(out, vec)
+		}
+		if partial {
+			ctx.ComputeScalar(float64(len(out)/4)*3, id.String()+"-emit-raw")
+		} else {
+			ctx.ComputeScalar(float64(len(out)/4)*12, id.String()+"-finalize")
+		}
+		if keyed && memoed == nil {
+			memo.cache.storeOutput(key, append([]byte(nil), out...))
 		}
 		if err := ctx.Put(outLS, wrapper+mainmem.Addr(extractOutOff()), oBytes, 1); err != nil {
 			return resErr

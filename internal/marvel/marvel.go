@@ -181,6 +181,22 @@ func (r *ImageResult) Set(id KernelID, vec []float32, score float64) {
 	}
 }
 
+// feature returns extraction kernel id's feature vector.
+func (r *ImageResult) feature(id KernelID) []float32 {
+	switch id {
+	case KCH:
+		return r.CH
+	case KCC:
+		return r.CC
+	case KEH:
+		return r.EH
+	case KTX:
+		return r.TX
+	default:
+		panic("marvel: no image result slot for " + id.String())
+	}
+}
+
 // Detect runs the four concept detections on extracted features.
 func (ms *ModelSet) Detect(r *ImageResult) {
 	r.Scores[0] = ms.CH.Decision(r.CH)

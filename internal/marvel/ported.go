@@ -366,6 +366,13 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	// own detector. Under supervision, SPEs beyond the planned set form
 	// the redispatch pool.
 	sup := newSupervisor(ctx, inj, cfg.Watchdog)
+	// Extraction kernels serve memoized outputs from the artifact cache,
+	// except under an armed fault plan: dma-corrupt and dma-drop change
+	// the values a kernel computes.
+	var memo *kernelMemo
+	if inj == nil {
+		memo = newKernelMemo(cfg.artifacts(), w)
+	}
 	numDetectors := 1
 	if sched.Replicated {
 		numDetectors = len(listingOrder)
@@ -375,7 +382,7 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 	}
 	var extract, detect [KCD]*kern
 	for i, id := range listingOrder {
-		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant), extractFallback(id))
+		k, err := sup.open(i, ExtractKernelSpec(id, cfg.Variant, memo), extractFallback(id))
 		if err != nil {
 			return err
 		}
@@ -432,9 +439,10 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 		dtWrap[id] = dw
 	}
 
-	// preprocessInto reads and decodes one image into pixel block b: the
-	// PPE-side preprocessing of §5.1.
-	preprocessInto := func(im *img.RGB, b int) {
+	// preprocessInto reads and decodes corpus image n into pixel block b:
+	// the PPE-side preprocessing of §5.1.
+	preprocessInto := func(n, b int) {
+		im := images[n]
 		ctx.DiskRead(CompressedImageBytes, "read-image")
 		ctx.ComputeScalar(DecodeOpsPerPixel*pixels, "decode-image")
 		// The decode's store pass writes straight into the aligned pixel
@@ -444,9 +452,10 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 		for y := 0; y < w.H; y++ {
 			copy(dst[y*stride:], im.Row(y))
 		}
+		memo.place(pixEAs[b], n)
 	}
 
-	if err := runSchedule(ctx, sched, images, exWraps, &dtWrap, &extract, &detect, preprocessInto, ref, res); err != nil {
+	if err := runSchedule(ctx, sched, len(images), exWraps, &dtWrap, &extract, &detect, preprocessInto, ref, res); err != nil {
 		return err
 	}
 
@@ -492,11 +501,11 @@ func portedMain(ctx *cell.Context, cfg PortedConfig, sched Schedule, inj *fault.
 func runSchedule(
 	ctx *cell.Context,
 	sched Schedule,
-	images []*img.RGB,
+	numImages int,
 	exWraps [][KCD]*core.Wrapper,
 	dtWrap *[KCD]*core.Wrapper,
 	extract, detect *[KCD]*kern,
-	preprocessInto func(*img.RGB, int),
+	preprocessInto func(n, b int),
 	ref *ReferenceResult,
 	res *PortedResult,
 ) error {
@@ -514,12 +523,12 @@ func runSchedule(
 		return nil
 	}
 	if sched.Overlap {
-		preprocessInto(images[0], 0)
+		preprocessInto(0, 0)
 	}
-	for n, im := range images {
+	for n := 0; n < numImages; n++ {
 		set := &exWraps[n%len(exWraps)]
 		if !sched.Overlap {
-			preprocessInto(im, 0)
+			preprocessInto(n, 0)
 		}
 		// feed FILLs id's detection wrapper from its extraction output
 		// (the Listing-4 "put data back / wrap again" step).
@@ -535,8 +544,8 @@ func runSchedule(
 				}
 			}
 		}
-		if sched.Overlap && n+1 < len(images) {
-			preprocessInto(images[n+1], (n+1)%len(exWraps))
+		if sched.Overlap && n+1 < numImages {
+			preprocessInto(n+1, (n+1)%len(exWraps))
 		}
 		for _, id := range sched.Order {
 			var err error
