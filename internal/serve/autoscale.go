@@ -204,6 +204,7 @@ func (p *pool) activatePool() bool {
 				b.parkPending = false // stall will restore its pre-stall state
 			}
 		}
+		p.refreshPool(pl)
 		f.rebuildRing()
 		return true
 	}
@@ -236,6 +237,7 @@ func (p *pool) drainPool() bool {
 				p.maybePark(b, p.now)
 			}
 		}
+		p.refreshPool(pl)
 		f.rebuildRing()
 		return true
 	}

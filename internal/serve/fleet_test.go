@@ -29,6 +29,7 @@ func fleetConfig(t *testing.T) Config {
 // is byte-identical when repeated and across calibration parallelism.
 func TestFleetDeterminismMatrix(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	base := fleetConfig(t)
 	golden := marshal(t, mustRun(t, base))
 	if got := marshal(t, mustRun(t, base)); !bytes.Equal(got, golden) {
@@ -46,6 +47,7 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 // fleet total, and every request the router placed is accounted.
 func TestFleetLedgerConservation(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	for _, seed := range []uint64{1, 7, 42} {
 		cfg := fleetConfig(t)
 		cfg.Seed = seed
@@ -173,6 +175,7 @@ func TestFleetArmedUnfiredPlan(t *testing.T) {
 // the ledger still conserves.
 func TestFleetChaos(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	cfg := fleetConfig(t)
 	total := cfg.Pools * cfg.Blades
 	offered := cfg.Rate * cfg.Cal.perBlade * float64(total)
@@ -207,7 +210,9 @@ func TestFleetRouterStability(t *testing.T) {
 // FuzzFleetLedger drives seeded routing + autoscale + chaos through
 // arbitrary (seed, shape) corners and checks the invariants that must
 // never break: exact six-term ledger conservation, and (through
-// checkBacklogs) the incrementally kept blade backlogs.
+// checkBacklogs and checkFrontiers) the incrementally kept blade
+// backlogs, completion heap and pool frontiers. Queues are short so
+// pools reach their room bound and global backpressure.
 func FuzzFleetLedger(f *testing.F) {
 	f.Add(uint64(7), uint64(0), uint8(4), false)
 	f.Add(uint64(1), uint64(3), uint8(2), true)
@@ -218,9 +223,11 @@ func FuzzFleetLedger(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed, faultSeed uint64, pools uint8, autoscale bool) {
 		checkBacklogs(t)
+		checkFrontiers(t)
 		cfg := quickConfig()
 		cfg.Blades = 2
 		cfg.Pools = 1 + int(pools%6)
+		cfg.MaxQueue = 2
 		cfg.Requests = 48
 		cfg.Rate = 1.5
 		cfg.Seed = seed

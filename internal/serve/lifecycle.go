@@ -108,12 +108,14 @@ func (p *pool) armFleet(plan *fault.Plan) error {
 	return nil
 }
 
-// applyFault runs one lifecycle transition. Guards
-// make overlapping plans first-wins: a transition finding its blade in
-// an incompatible state (already down, already stalled, stall on a
-// draining blade) is a no-op, deterministically in plan order.
+// applyFault runs one lifecycle transition and then refreshes the
+// blade's pool frontier. Guards make overlapping plans first-wins: a
+// transition finding its blade in an incompatible state (already down,
+// already stalled, stall on a draining blade) is a no-op,
+// deterministically in plan order.
 func (p *pool) applyFault(ev bladeEvent) {
 	b := p.blades[ev.blade]
+	defer p.refreshFrontier(b)
 	switch ev.kind {
 	case evBladeCrash:
 		if b.health == healthDown {
@@ -167,6 +169,7 @@ func (p *pool) applyFault(ev bladeEvent) {
 				b.start = b.start.Add(ev.delay)
 			}
 			b.done = b.done.Add(ev.delay)
+			heap.Fix(&p.inflight, b.hidx)
 		}
 	case evStallEnd:
 		if b.health != healthStalled {
@@ -210,7 +213,7 @@ func (p *pool) killBlade(b *blade) {
 		if p.now > b.start {
 			b.busyTime += p.now.Sub(b.start)
 		}
-		b.busy = false
+		p.stopBusy(b)
 		for _, r := range b.cur {
 			p.reroute(b, r)
 		}

@@ -22,7 +22,7 @@ type edgeStep struct {
 func TestLifecycleTransitionEdges(t *testing.T) {
 	cases := []struct {
 		name  string
-		prep  func(b *blade) // optional state injection before the steps
+		prep  func(p *pool, b *blade) // optional state injection before the steps
 		steps []edgeStep
 
 		wantHealth         health
@@ -47,7 +47,7 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 		},
 		{
 			name:       "double crash counts once",
-			prep:       func(b *blade) { b.busy = true; b.done = 50 },
+			prep:       func(p *pool, b *blade) { p.startBusy(b, 0, 50) },
 			steps:      []edgeStep{{evBladeCrash, 20}, {evBladeCrash, 30}},
 			wantHealth: healthDown, wantCrashes: 1, wantDone: 50, wantBusyTime: 20, wantWarm: true,
 		},
@@ -63,7 +63,7 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 		},
 		{
 			name: "restart fire cannot hijack an autoscale drain",
-			prep: func(b *blade) {
+			prep: func(_ *pool, b *blade) {
 				b.health = healthDraining
 				b.parkPending = true
 			},
@@ -89,7 +89,7 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 		},
 		{
 			name:  "autoscale drain arriving mid-stall resumes into draining",
-			prep:  func(b *blade) { b.parkPending = true },
+			prep:  func(_ *pool, b *blade) { b.parkPending = true },
 			steps: []edgeStep{{evStallStart, 10}, {evStallEnd, 20}},
 			// With no queue and no in-flight work the drain parks at the
 			// stall end.
@@ -97,7 +97,7 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 		},
 		{
 			name:       "crash on a parked blade",
-			prep:       func(b *blade) { b.health = healthParked; b.warm = false },
+			prep:       func(_ *pool, b *blade) { b.health = healthParked; b.warm = false },
 			steps:      []edgeStep{{evBladeCrash, 10}},
 			wantHealth: healthDown, wantCrashes: 1, wantWarm: false,
 		},
@@ -117,7 +117,7 @@ func TestLifecycleTransitionEdges(t *testing.T) {
 			// mid-run, after its first dispatch warmed it.
 			b.warm = true
 			if tc.prep != nil {
-				tc.prep(b)
+				tc.prep(p, b)
 			}
 			for _, st := range tc.steps {
 				p.now = st.at

@@ -45,6 +45,7 @@ func chaosConfig(t *testing.T) Config {
 // an attributed reason — and the lifecycle counters record what fired.
 func TestChaosConservation(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	cfg := chaosConfig(t)
 	span := runSpan(t, cfg)
 	for _, seed := range []uint64{1, 7, 42} {
@@ -76,6 +77,7 @@ func TestChaosConservation(t *testing.T) {
 // the ledger and serializes byte-identically when repeated.
 func TestChaosDeterminismMatrix(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	cfg := chaosConfig(t)
 	cfg.Faults = fault.SeededFleet(7, cfg.Blades, runSpan(t, cfg))
 
@@ -112,6 +114,7 @@ func TestArmedButUnfiredFleetPlan(t *testing.T) {
 // fraction plus a bounded reroute overhead.
 func TestBladeCrashGoodputBound(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	cfg := chaosConfig(t)
 	base := mustRun(t, cfg)
 	checkLedger(t, base)
@@ -154,6 +157,7 @@ func TestBladeCrashGoodputBound(t *testing.T) {
 // load twice and ends the run healthy.
 func TestBladeRestartRecharge(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	cfg := quickConfig()
 	cfg.Cal = mustCal(t)
 	span := runSpan(t, cfg)
@@ -182,6 +186,7 @@ func TestBladeRestartRecharge(t *testing.T) {
 // its pre-stall state.
 func TestBladeStallDelaysInFlight(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	cfg := quickConfig()
 	cfg.Cal = mustCal(t)
 	span := runSpan(t, cfg)
@@ -231,6 +236,7 @@ func TestRerouteBackoffMirrorsSupervision(t *testing.T) {
 // machinery into an attributed shed, and the run must terminate.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	checkBacklogs(t)
+	checkFrontiers(t)
 	cfg := quickConfig()
 	cfg.Cal = mustCal(t)
 	span := runSpan(t, cfg)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"cmp"
+	"container/heap"
 	"fmt"
 	"slices"
 
@@ -25,6 +26,7 @@ type blade struct {
 	queue []Request
 	spare []Request // recycled batch buffer (capacity MaxBatch, reused across dispatches)
 	busy  bool
+	hidx  int // position in the pool's completion heap; -1 while idle
 	warm  bool
 	start sim.Time // current dispatch start (batch work, after any warmup)
 	done  sim.Time // current dispatch completion
@@ -35,6 +37,11 @@ type blade struct {
 	// mutation (admitInto, dispatch's shed and coalesce, killBlade) so
 	// bladeScore is O(1) instead of a walk over the queue.
 	backlog sim.Duration
+
+	// shard is the fleet pool owning the blade (nil on the classic
+	// single-pool path); its stored frontier is refreshed whenever the
+	// blade's score or room changes.
+	shard *poolShard
 
 	// Lifecycle state (DESIGN.md §12). health gates admission;
 	// stallRestore remembers the state a transient stall must restore.
@@ -95,6 +102,10 @@ type pool struct {
 	blades   []*blade
 	rr       int
 	now      sim.Time
+
+	// inflight holds the busy blades keyed by (done, id), so the next
+	// completion is the heap top.
+	inflight completionHeap
 
 	// fleet is the multi-pool routing/autoscaling layer (DESIGN.md §13);
 	// nil selects the classic single-pool admission path. In fleet mode
@@ -159,6 +170,7 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 			id:    i,
 			lane:  fmt.Sprintf("blade%d", i),
 			spare: make([]Request, 0, cfg.MaxBatch),
+			hidx:  -1,
 		}
 		if cfg.Instrument {
 			b.rec = trace.NewRecorder()
@@ -166,7 +178,7 @@ func newPool(cfg Config, cal *Calibration, deadline sim.Duration) *pool {
 		p.blades = append(p.blades, b)
 	}
 	if cfg.Pools > 0 {
-		p.fleet = newFleet(p)
+		p.initFleet()
 	}
 	return p
 }
@@ -190,9 +202,10 @@ func (p *pool) run(reqs []Request) {
 		if ai < len(reqs) {
 			nextArr = reqs[ai].Arrival
 		}
-		db := p.earliestBusy()
+		var db *blade
 		doneT := sim.Never
-		if db != nil {
+		if len(p.inflight) > 0 {
+			db = p.inflight[0]
 			doneT = db.done
 		}
 		nextRer := sim.Never
@@ -229,16 +242,52 @@ func (p *pool) run(reqs []Request) {
 	}
 }
 
-// earliestBusy returns the busy blade finishing first (lowest index on
-// ties), or nil when the pool is idle.
-func (p *pool) earliestBusy() *blade {
-	var best *blade
-	for _, b := range p.blades {
-		if b.busy && (best == nil || b.done < best.done) {
-			best = b
-		}
+// completionHeap is a min-heap of the busy blades keyed by (done, id):
+// the top is the next completion, lowest blade index on ties. Each
+// blade tracks its own position (hidx), so a kill removes it and a
+// stall that moves done re-sifts it in O(log blades).
+type completionHeap []*blade
+
+func (h completionHeap) Len() int { return len(h) }
+func (h completionHeap) Less(a, b int) bool {
+	if h[a].done != h[b].done {
+		return h[a].done < h[b].done
 	}
-	return best
+	return h[a].id < h[b].id
+}
+func (h completionHeap) Swap(a, b int) {
+	h[a], h[b] = h[b], h[a]
+	h[a].hidx = a
+	h[b].hidx = b
+}
+func (h *completionHeap) Push(x interface{}) {
+	b := x.(*blade)
+	b.hidx = len(*h)
+	*h = append(*h, b)
+}
+func (h *completionHeap) Pop() interface{} {
+	old := *h
+	n := len(old) - 1
+	b := old[n]
+	old[n] = nil
+	b.hidx = -1
+	*h = old[:n]
+	return b
+}
+
+// startBusy marks b in flight over [start, done) and enters it in the
+// completion heap.
+func (p *pool) startBusy(b *blade, start, done sim.Time) {
+	b.busy = true
+	b.start = start
+	b.done = done
+	heap.Push(&p.inflight, b)
+}
+
+// stopBusy marks b idle and takes it out of the completion heap.
+func (p *pool) stopBusy(b *blade) {
+	b.busy = false
+	heap.Remove(&p.inflight, b.hidx)
 }
 
 // estOne is the estimator's per-request service estimate (a lone
@@ -249,15 +298,22 @@ func (p *pool) earliestBusy() *blade {
 func (p *pool) estOne(r Request) sim.Duration { return p.cal.est1[geomIdx(r.Tall)] }
 
 // bladeScore is the estimator's finish frontier for one blade: the
-// remaining in-flight work, plus warmup for a cold or restarted blade,
-// plus the estimated backlog of its queue (the incrementally kept
-// b.backlog). Both the per-pool placement order and the fleet router's
-// frontier comparison rank by it.
+// remaining in-flight work plus queuedWork. The per-pool placement order
+// ranks by it, and the fleet router's stored pool frontiers (fleet.go)
+// are its minimum over a pool.
 func (p *pool) bladeScore(b *blade) sim.Duration {
-	s := b.backlog
+	s := p.queuedWork(b)
 	if b.busy {
 		s += b.done.Sub(p.now)
 	}
+	return s
+}
+
+// queuedWork is the time-invariant part of bladeScore: the estimated
+// backlog of the queue (the incrementally kept b.backlog) plus warmup
+// for a cold or restarted blade.
+func (p *pool) queuedWork(b *blade) sim.Duration {
+	s := b.backlog
 	if !b.warm {
 		s += p.cal.coldWarmup
 	}
@@ -342,6 +398,7 @@ func (p *pool) admitInto(r Request, order []*blade) bool {
 			if !b.busy {
 				p.dispatch(b, p.now)
 			}
+			p.refreshFrontier(b)
 			return true
 		}
 	}
@@ -443,9 +500,7 @@ func (p *pool) dispatch(b *blade, now sim.Time) {
 		}
 		start = start.Add(s.Warmup)
 	}
-	b.busy = true
-	b.start = start
-	b.done = start.Add(s.Service)
+	p.startBusy(b, start, start.Add(s.Service))
 	b.cur = batch
 	b.deg = s.Degraded
 	b.dispatches++
@@ -476,19 +531,35 @@ type verifyJob struct {
 	k          int
 }
 
-// verifyDispatches re-runs the full machine simulation behind every
-// recorded dispatch on up to cfg.Parallel workers and cross-checks each
-// against the calibration table entry the event loop charged. The nested
-// runs are pure functions of their configs, so any divergence means the
-// table no longer describes the machine. Jobs are ordered by (blade,
-// dispatch sequence) and RunIndexed returns the lowest-index error, so
-// the reported divergence — the lowest affected blade's first diverging
-// dispatch — is the same at every worker count.
+// verifyDispatches re-runs the full machine simulation behind the
+// recorded dispatches on up to cfg.Parallel workers and cross-checks each
+// against the calibration table entry the event loop charged. A
+// dispatch's machine run is a pure function of its (scheme, geometry,
+// batch) point and the run's fixed machine-fault plan, so each distinct
+// point runs once, standing for its lowest (blade, dispatch sequence)
+// dispatch; any divergence means the table no longer describes the
+// machine. The points run in that representative order and RunIndexed
+// returns the lowest-index error, so the reported divergence — the
+// lowest affected blade's first diverging dispatch — is the same at
+// every worker count and the same as re-running every dispatch.
 func (p *pool) verifyDispatches() error {
 	jobs := p.verify
 	slices.SortStableFunc(jobs, func(a, b verifyJob) int { return cmp.Compare(a.blade, b.blade) })
-	_, err := parallel.RunIndexed(p.cfg.Parallel, len(jobs), func(i int) (struct{}, error) {
-		j := jobs[i]
+	type point struct {
+		scheme Scheme
+		tall   bool
+		k      int
+	}
+	seen := map[point]bool{}
+	var reps []verifyJob
+	for _, j := range jobs {
+		if k := (point{j.scheme, j.tall, j.k}); !seen[k] {
+			seen[k] = true
+			reps = append(reps, j)
+		}
+	}
+	_, err := parallel.RunIndexed(p.cfg.Parallel, len(reps), func(i int) (struct{}, error) {
+		j := reps[i]
 		res, err := marvel.RunPorted(p.cfg.portedConfig(j.scheme.scenario(), j.tall, j.k, true))
 		if err != nil {
 			return struct{}{}, fmt.Errorf("serve: blade %d: full-fidelity dispatch #%d %s/tall=%v/k=%d: %w",
@@ -528,7 +599,7 @@ func (p *pool) complete(b *blade) {
 	if t > b.lastDone {
 		b.lastDone = t
 	}
-	b.busy = false
+	p.stopBusy(b)
 	b.spare = b.cur[:0]
 	b.cur = nil
 	if b.health == healthWarming {
@@ -538,4 +609,5 @@ func (p *pool) complete(b *blade) {
 	p.dispatch(b, t)
 	// An autoscale-drained blade parks once its queue is served out.
 	p.maybePark(b, t)
+	p.refreshFrontier(b)
 }

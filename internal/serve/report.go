@@ -2,7 +2,7 @@ package serve
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"cellport/internal/metrics"
 	"cellport/internal/sim"
@@ -125,14 +125,12 @@ type FleetStats struct {
 	PerPool         []PoolStats `json:"per_pool"`
 }
 
-// percentile returns the q-quantile (0 < q <= 1) of the sample by the
-// nearest-rank method on a sorted copy; 0 for an empty sample.
-func percentile(sample []sim.Duration, q float64) sim.Duration {
-	if len(sample) == 0 {
+// percentile returns the q-quantile (0 < q <= 1) of an ascending-sorted
+// sample by the nearest-rank method; 0 for an empty sample.
+func percentile(sorted []sim.Duration, q float64) sim.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]sim.Duration(nil), sample...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 	i := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
@@ -174,6 +172,9 @@ func (p *pool) report(offered float64) *Report {
 			lastDone = b.lastDone
 		}
 	}
+	// latencies is the report's own merged copy: sort it once for all
+	// three percentiles.
+	slices.Sort(latencies)
 	// Only schemes that actually dispatched appear, matching the
 	// increment-on-use map the loop historically built.
 	schemes := map[string]int{}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sort"
 
 	"cellport/internal/sim"
@@ -72,45 +73,31 @@ func (f *fleetState) rebuildRing() {
 }
 
 // lookup walks the ring clockwise from key and returns the first pool
-// satisfying ok, or nil when no pool on the ring does. Each pool is
+// with room, or nil when no pool on the ring has any. Each pool is
 // evaluated at most once per walk.
-func (f *fleetState) lookup(key uint64, ok func(*poolShard) bool) *poolShard {
+func (f *fleetState) lookup(key uint64) *poolShard {
 	n := len(f.ring)
 	if n == 0 {
 		return nil
 	}
-	for i := range f.visited {
-		f.visited[i] = false
+	f.gen++
+	if f.gen == 0 {
+		// The stamp wrapped: old slots could now read as visited.
+		clear(f.visited)
+		f.gen = 1
 	}
 	start := sort.Search(n, func(i int) bool { return f.ring[i].hash >= key })
 	for i := 0; i < n; i++ {
 		e := f.ring[(start+i)%n]
-		if f.visited[e.pool] {
+		if f.visited[e.pool] == f.gen {
 			continue
 		}
-		f.visited[e.pool] = true
-		if pl := f.pools[e.pool]; ok(pl) {
+		f.visited[e.pool] = f.gen
+		if pl := f.pools[e.pool]; pl.hasRoom() {
 			return pl
 		}
 	}
 	return nil
-}
-
-// poolFrontier is the pool's earliest estimated finish across its
-// admittable blades with queue room — what a request routed there now
-// would be waiting behind.
-func (p *pool) poolFrontier(pl *poolShard) (sim.Duration, bool) {
-	var best sim.Duration
-	found := false
-	for _, b := range pl.blades {
-		if !b.health.admittable() || len(b.queue) >= p.cfg.MaxQueue {
-			continue
-		}
-		if s := p.bladeScore(b); !found || s < best {
-			best, found = s, true
-		}
-	}
-	return best, found
 }
 
 // routePool picks the pool for one request: the consistent-hash owner
@@ -120,41 +107,83 @@ func (p *pool) poolFrontier(pl *poolShard) (sim.Duration, bool) {
 // hash placement, keeping routing stable). Returns nil under global
 // backpressure: no active pool has any admittable blade with queue room.
 //
-// The estimator sweep is one pass over the active pools: poolFrontier
-// finds a frontier exactly when poolHasRoom holds, so it doubles as the
-// candidacy check, and the hashed pool's frontier is read on the way.
+// Nothing here scans blades or pools. A pool's frontier is
+// min(busyMin − now, idleMin) of its stored pair, so the fleet's least
+// frontier is the lesser of the two min-tree roots, and the best pool —
+// the lowest-index pool reaching it — is the lower index of the roots
+// that do. Both roots at their sentinels is global backpressure.
 func (p *pool) routePool(r Request) *poolShard {
 	f := p.fleet
-	hashed := f.lookup(requestKey(r), p.poolHasRoom)
-	if hashed == nil {
+	busyPool, busyMin := f.busyTree.top()
+	idlePool, idleMin := f.idleTree.top()
+	if sim.Time(busyMin) == sim.Never && sim.Duration(idleMin) == noRoom {
 		return nil
 	}
+	hashed := f.lookup(requestKey(r))
 	if p.cfg.Policy != PolicyEstimator || !p.cal.conclusive {
 		return hashed
 	}
-	var best *poolShard
-	var bestFrontier, hashedFrontier sim.Duration
-	for _, pl := range f.pools {
-		if !pl.active {
-			continue
-		}
-		s, ok := p.poolFrontier(pl)
-		if !ok {
-			continue
-		}
-		if pl == hashed {
-			hashedFrontier = s
-		}
-		if best == nil || s < bestFrontier {
-			best, bestFrontier = pl, s
+	best, bestFrontier := idlePool, sim.Duration(idleMin)
+	if sim.Time(busyMin) != sim.Never {
+		s := sim.Time(busyMin).Sub(p.now)
+		if s < bestFrontier || (s == bestFrontier && busyPool < best) {
+			best, bestFrontier = busyPool, s
 		}
 	}
-	if best == hashed {
+	if best == hashed.id {
 		return hashed
 	}
-	if hashedFrontier-bestFrontier > p.estOne(r)/2 {
+	if hashed.frontier(p.now)-bestFrontier > p.estOne(r)/2 {
 		f.overrides++
-		return best
+		return f.pools[best]
 	}
 	return hashed
+}
+
+// minTree is a tournament tree over pool index: each internal node
+// holds the leaf with the least (key, index) below it, so the minimum
+// is the root and changing one pool's key costs O(log pools). Padding
+// leaves past the last pool hold MaxInt64 and never beat a real pool.
+type minTree struct {
+	key []int64 // per leaf
+	win []int32 // win[1] is the root, leaves at win[len(key):]
+}
+
+func newMinTree(pools int) minTree {
+	n := 1
+	for n < pools {
+		n <<= 1
+	}
+	t := minTree{key: make([]int64, n), win: make([]int32, 2*n)}
+	for i := range t.key {
+		t.key[i] = math.MaxInt64
+		t.win[n+i] = int32(i)
+	}
+	for i := n - 1; i >= 1; i-- {
+		t.win[i] = t.pick(t.win[2*i], t.win[2*i+1])
+	}
+	return t
+}
+
+// pick returns the winner of two subtrees, a holding the lower indices:
+// the smaller key, a on ties.
+func (t *minTree) pick(a, b int32) int32 {
+	if t.key[b] < t.key[a] {
+		return b
+	}
+	return a
+}
+
+// set changes leaf i's key and replays the matches above it.
+func (t *minTree) set(i int, key int64) {
+	t.key[i] = key
+	for j := (len(t.key) + i) / 2; j >= 1; j /= 2 {
+		t.win[j] = t.pick(t.win[2*j], t.win[2*j+1])
+	}
+}
+
+// top returns the leaf with the least (key, index) and its key.
+func (t *minTree) top() (int, int64) {
+	w := t.win[1]
+	return int(w), t.key[w]
 }
